@@ -15,8 +15,10 @@ Three subcommands:
 Flags: --json for machine-readable output, --budget N for the skein
 node budget, --memo on|off, and --truncate K to print the series
 expansion (substituting v = exp(-d/2)) of a homfly-kind value instead
-of the value itself.  No environment variables or config files are
-consulted, so identical invocations print identical bytes.
+of the value itself.  The budget counts nodes over an engine's lifetime:
+one engine per ``invariant`` invocation, one per ``verify`` suite.  No
+environment variables or config files are consulted, so identical
+invocations print identical bytes.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 node budget
 exceeded.
@@ -163,7 +165,7 @@ def _pair(computed, expected):
 
 
 def _qtilde_checks():
-    sp_minus_sm = _sigma({(1, 0): 1, (0, 1): -1})
+    sp_minus_sm = dskein.SP_MINUS_SM
     printed = {
         0: _sigma({}),
         1: _sigma({(0, 0): 1}),
@@ -430,7 +432,8 @@ def main(argv=None):
     # negative table ranges like -3..3 would otherwise parse as flags
     for i, token in enumerate(argv):
         if _RANGE_TOKEN.match(token):
-            argv = argv[:i] + ["--"] + argv[i:]
+            if argv[i - 1:i] != ["--"]:
+                argv.insert(i, "--")
             break
     args = parser.parse_args(argv)
     args.memo = args.memo == "on"

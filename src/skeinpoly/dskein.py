@@ -42,7 +42,7 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 from .rings import LaurentPoly, sigma_swap, validate_sigma_poly
 
-_SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
+SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
 
 
 def _sigma(terms):
@@ -52,7 +52,7 @@ def _sigma(terms):
 #: Skein vectors in the basis (U, T^-2, T^-1, Id, T, T^2) of the
 #: two-strand module map space; stored exactly as printed.
 T3_VECTOR = (
-    4 * _SP_MINUS_SM,
+    4 * SP_MINUS_SM,
     _sigma({(0, 0): 1}),
     _sigma({(0, 0): 2, (1, 0): -1}),
     _sigma({(0, 0): 1, (1, 0): -2, (0, 1): 1}),
@@ -61,10 +61,10 @@ T3_VECTOR = (
 )
 
 ROT_T2_VECTOR = (
-    _sigma({(0, 0): 1}) - 2 * _SP_MINUS_SM,
+    _sigma({(0, 0): 1}) - 2 * SP_MINUS_SM,
     _sigma({}),
     _sigma({(0, 0): -2, (0, 1): 1}),
-    _sigma({(0, 0): -1}) + 2 * _SP_MINUS_SM,
+    _sigma({(0, 0): -1}) + 2 * SP_MINUS_SM,
     _sigma({(0, 0): 2, (0, 1): -1}),
     _sigma({(0, 0): 1}),
 )
@@ -90,8 +90,8 @@ _I_BASE = {
     0: _sigma({}),
     1: _sigma({(0, 0): -1}),
     -1: _sigma({(0, 0): -1}),
-    2: 2 * _SP_MINUS_SM,
-    -2: -2 * _SP_MINUS_SM,
+    2: 2 * SP_MINUS_SM,
+    -2: -2 * SP_MINUS_SM,
 }
 
 _i_memo = dict(_I_BASE)

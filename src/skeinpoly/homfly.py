@@ -5,14 +5,11 @@ The normalized invariant P(v, z) satisfies
 
     (1/v) P(L+) - v P(L-) = z P(L0),        P(unknot) = 1,
 
-and is computed by a descending-diagram recursion: walk the components
-from base points; at the first crossing first reached on its
-under-strand, branch into the crossing-switched diagram and the
-z-weighted oriented smoothing.  Descending diagrams are unlinks, worth
-((1/v - v)/z)^(n-1).  Curls and parallel bigons are stripped eagerly
-(both preserve P), split diagrams factor, and results are memoized on
-relabeling-invariant canonical forms, quotiented by simultaneous
-reversal of all components (which preserves P).
+and is computed by the skein recursion of the ``skein`` module, branching
+into the crossing-switched diagram and the z-weighted oriented
+smoothing.  Curls and parallel bigons both preserve P, and so does the
+simultaneous reversal of all components, by which the memo keys are
+quotiented.
 
 The framed extension H multiplies by lam^writhe and one loop factor;
 the adjoint invariant sums H over the inclusion-exclusion antiparallel
@@ -21,13 +18,11 @@ the adjoint invariant sums H over the inclusion-exclusion antiparallel
 
 from __future__ import annotations
 
-import sys
-
 from . import diagrams as dg
+from .dskein import SP_MINUS_SM
 from .errors import (
     InexactDivision,
     NotAKnot,
-    ResourceLimit,
     Unoriented,
     ValidationError,
 )
@@ -38,6 +33,7 @@ from .rings import (
     limit_order2_at_v1,
     validate_sigma_poly,
 )
+from .skein import DEFAULT_BUDGET, SkeinEngine  # noqa: F401  (DEFAULT_BUDGET re-exported)
 
 #: (1/v - v)/z, the value of an extra split unknot.
 DELTA = LaurentPoly(("v", "z"), {(-1, -1): 1, (1, -1): -1})
@@ -47,29 +43,12 @@ _VZ = LaurentPoly(("v", "z"), {(1, 1): 1})
 _VM2 = LaurentPoly(("v", "z"), {(-2, 0): 1})
 _VMZ = LaurentPoly(("v", "z"), {(-1, 1): 1})
 
-DEFAULT_BUDGET = 10 ** 8
-CANONICAL_CUTOFF = 48
 
+class HomflyEngine(SkeinEngine):
+    """The skein engine for P; see ``SkeinEngine`` for the constructor."""
 
-class HomflyEngine:
-    """A memoized evaluator; reusable across calls and shareable.
-
-    ``memo=False`` disables caching (for equivalence tests), ``budget``
-    bounds the recursion node count, and ``rng`` (a random.Random)
-    randomizes the walk order at every node, which must not change any
-    value.
-    """
-
-    def __init__(self, memo=True, budget=DEFAULT_BUDGET, rng=None,
-                 canonical_cutoff=CANONICAL_CUTOFF):
-        self.memo_enabled = memo
-        self.budget = budget
-        self.rng = rng
-        self.canonical_cutoff = canonical_cutoff
-        self.memo = {}
-        self.nodes = 0
-
-    # ---- public ----
+    # bound here, not inherited: perfbench/spans.py patches each engine's own __init__
+    __init__ = SkeinEngine.__init__
 
     def p(self, d: dg.LinkDiagram) -> LaurentPoly:
         """P of a nonempty oriented diagram."""
@@ -77,81 +56,33 @@ class HomflyEngine:
             raise Unoriented("the HOMFLY-PT invariant needs an oriented diagram")
         if d.num_components() == 0:
             raise ValidationError("P is defined for nonempty links only")
-        self.nodes = 0
-        if sys.getrecursionlimit() < 100000:
-            sys.setrecursionlimit(100000)
-        return self._eval(d)
+        return self._run(d)
 
-    # ---- recursion ----
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise ResourceLimit(f"node budget {self.budget} exceeded",
-                                nodes=self.nodes, memo_size=len(self.memo))
-
-    def _key(self, d):
-        if len(d.crossings) > self.canonical_cutoff:
-            return d.key()
+    def _canonical_key(self, d):
         return min(dg.canonical_key(d), dg.canonical_key(dg.reverse_all(d)))
 
-    def _eval(self, d: dg.LinkDiagram) -> LaurentPoly:
-        self._tick()
-        loops = d.free_loops
-        if loops:
-            d = dg.LinkDiagram(d.crossings, d.signs, 0, validate=False)
-        # eager reductions that leave P unchanged
-        changed = True
-        while changed and d.crossings:
-            changed = False
-            for ci in range(len(d.crossings)):
-                if dg.curl_sign(d, ci) is not None:
-                    d = dg.strip_curl(d, ci)
-                    loops += d.free_loops
-                    d = dg.LinkDiagram(d.crossings, d.signs, 0, validate=False)
-                    changed = True
-                    break
-            if changed:
-                continue
-            for (ci, i, cj, j) in dg.bigon_reductions(d):
-                reduced = dg.strip_bigon(d, ci, i, cj, j)
-                if reduced is not None:
-                    loops += reduced.free_loops
-                    d = dg.LinkDiagram(reduced.crossings, reduced.signs, 0, validate=False)
-                    changed = True
-                    break
-        if not d.crossings:
+    def _combine(self, loops, chirality, parts):
+        # P ignores curls; each split part past the first and each loop is worth DELTA
+        if not parts:
             return DELTA ** (loops - 1)
+        if len(parts) == 1:
+            return parts[0] * DELTA ** loops
         value = LaurentPoly.const(1, ("v", "z"))
-        parts = dg.connected_parts(d)
-        if len(parts) > 1:
-            for part in parts:
-                value = value * self._eval_connected(dg.subdiagram(d, part))
-            value = value * DELTA ** (len(parts) - 1 + loops)
-        else:
-            value = self._eval_connected(d) * DELTA ** loops
-        return value
+        for part in parts:
+            value = value * part
+        return value * DELTA ** (len(parts) - 1 + loops)
 
-    def _eval_connected(self, d: dg.LinkDiagram) -> LaurentPoly:
-        key = self._key(d) if self.memo_enabled else None
-        if key is not None:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        bad = dg.first_bad_crossing(d, self.rng)
-        if bad is None:
-            value = DELTA ** (d.num_components() - 1)
-        else:
-            sw = self._eval(dg.switched(d, bad))
-            sm = self._eval(dg.oriented_smoothed(d, bad))
-            if d.signs[bad] == 1:
-                # 1/v P(L+) - v P(L-) = z P(L0), solved for the + crossing
-                value = _V2 * sw + _VZ * sm
-            else:
-                value = _VM2 * sw - _VMZ * sm
-        if key is not None:
-            self.memo[key] = value
-        return value
+    def _descending(self, d):
+        # a descending diagram is an unlink
+        return DELTA ** (d.num_components() - 1)
+
+    def _branch(self, d, bad):
+        sw = self._eval(dg.switched(d, bad))
+        sm = self._eval(dg.oriented_smoothed(d, bad))
+        if d.signs[bad] == 1:
+            # 1/v P(L+) - v P(L-) = z P(L0), solved for the + crossing
+            return _V2 * sw + _VZ * sm
+        return _VM2 * sw - _VMZ * sm
 
 
 _default_engine = HomflyEngine()
@@ -199,9 +130,6 @@ def v2(d: dg.LinkDiagram, engine: HomflyEngine | None = None):
     return at_v1.terms.get((2,), 0)
 
 
-_SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
-
-
 def unknot_diagram() -> dg.LinkDiagram:
     """The 0-framed unknot: one crossingless circle."""
     return dg.LinkDiagram((), (), 1)
@@ -227,7 +155,7 @@ def conjecture_sides(d: dg.LinkDiagram, qtilde_value: LaurentPoly,
     lhs = limit_order2_at_v1(ratio)
 
     q = validate_sigma_poly(qtilde_value)
-    quotient = exact_divide(q, _SP_MINUS_SM)
+    quotient = exact_divide(q, SP_MINUS_SM)
     if quotient is None:
         raise InexactDivision("the invariant value is not divisible by (sp - sm)",
                               remainder=q)

@@ -25,22 +25,18 @@ enter at the very end.
 
 from __future__ import annotations
 
-import sys
-
 from . import diagrams as dg
-from .errors import DivisionByZero, InexactDivision, ResourceLimit
+from .errors import DivisionByZero, InexactDivision
 from .rings import (
     LaurentPoly,
     RatFunc,
     exact_div_linear,
     substitute_equal,
 )
+from .skein import SkeinEngine
 
 _S_MINUS = LaurentPoly(("s", "a"), {(1, 0): 1, (-1, 0): -1})          # s - 1/s
 _DELTA_NUM = LaurentPoly(("s", "a"), {(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1})
-
-DEFAULT_BUDGET = 10 ** 8
-CANONICAL_CUTOFF = 48
 
 _s_minus_powers = {0: LaurentPoly.const(1, ("s", "a"))}
 
@@ -146,92 +142,39 @@ def _alpha_power(n):
     return LaurentPoly(("s", "a"), {(0, n): 1})
 
 
-class KauffmanEngine:
-    """Memoized Dubrovnik evaluator (same contract as the HOMFLY engine)."""
+class KauffmanEngine(SkeinEngine):
+    """The skein engine for D; see ``SkeinEngine`` for the constructor."""
 
-    def __init__(self, memo=True, budget=DEFAULT_BUDGET, rng=None,
-                 canonical_cutoff=CANONICAL_CUTOFF):
-        self.memo_enabled = memo
-        self.budget = budget
-        self.rng = rng
-        self.canonical_cutoff = canonical_cutoff
-        self.memo = {}
-        self.nodes = 0
+    # bound here, not inherited: perfbench/spans.py patches each engine's own __init__
+    __init__ = SkeinEngine.__init__
 
     def value(self, d: dg.LinkDiagram) -> DubVal:
+        """D of a diagram; any orientation is ignored."""
         if d.signs is not None:
             d = dg.LinkDiagram(d.crossings, None, d.free_loops, validate=False)
-        self.nodes = 0
-        if sys.getrecursionlimit() < 100000:
-            sys.setrecursionlimit(100000)
-        return self._eval(d)
+        return self._run(d)
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise ResourceLimit(f"node budget {self.budget} exceeded",
-                                nodes=self.nodes, memo_size=len(self.memo))
-
-    def _key(self, d):
-        if len(d.crossings) > self.canonical_cutoff:
-            return d.key()
+    def _canonical_key(self, d):
         return dg.canonical_key(d)
 
-    def _eval(self, d: dg.LinkDiagram) -> DubVal:
-        self._tick()
-        loops = d.free_loops
-        alpha = 0
-        if loops:
-            d = dg.LinkDiagram(d.crossings, None, 0, validate=False)
-        changed = True
-        while changed and d.crossings:
-            changed = False
-            for ci in range(len(d.crossings)):
-                sign = dg.curl_sign(d, ci)
-                if sign is not None:
-                    alpha += sign                    # a^chirality per stripped curl
-                    d = dg.strip_curl(d, ci)
-                    loops += d.free_loops
-                    d = dg.LinkDiagram(d.crossings, None, 0, validate=False)
-                    changed = True
-                    break
-            if changed:
-                continue
-            for (ci, i, cj, j) in dg.bigon_reductions(d):
-                reduced = dg.strip_bigon(d, ci, i, cj, j)
-                if reduced is not None:
-                    loops += reduced.free_loops
-                    d = dg.LinkDiagram(reduced.crossings, None, 0, validate=False)
-                    changed = True
-                    break
+    def _combine(self, loops, chirality, parts):
         value = DubVal.loops(loops) if loops else DubVal.const(1)
-        parts = dg.connected_parts(d) if d.crossings else []
         for part in parts:
-            sub = dg.subdiagram(d, part) if len(parts) > 1 else d
-            value = value * self._eval_connected(sub)
-        if alpha:
-            value = value * _alpha_power(alpha)
+            value = value * part
+        if chirality:
+            value = value * _alpha_power(chirality)      # a^chirality per stripped curl
         return value
 
-    def _eval_connected(self, d: dg.LinkDiagram) -> DubVal:
-        key = self._key(d) if self.memo_enabled else None
-        if key is not None:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        bad = dg.first_bad_crossing(d, self.rng)
-        if bad is None:
-            # descending: a split union of unknots carrying their framings
-            alpha = sum(dg.self_writhes(d))
-            value = DubVal.loops(d.num_components()) * _alpha_power(alpha)
-        else:
-            sw = self._eval(dg.switched(d, bad))
-            s01 = self._eval(dg.smoothed(d, bad, "01"))
-            s03 = self._eval(dg.smoothed(d, bad, "03"))
-            value = sw + (s01 - s03) * _S_MINUS
-        if key is not None:
-            self.memo[key] = value
-        return value
+    def _descending(self, d):
+        # a split union of unknots carrying their framings
+        alpha = sum(dg.self_writhes(d))
+        return DubVal.loops(d.num_components()) * _alpha_power(alpha)
+
+    def _branch(self, d, bad):
+        sw = self._eval(dg.switched(d, bad))
+        s01 = self._eval(dg.smoothed(d, bad, "01"))
+        s03 = self._eval(dg.smoothed(d, bad, "03"))
+        return sw + (s01 - s03) * _S_MINUS
 
 
 _default_engine = KauffmanEngine()

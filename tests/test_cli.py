@@ -1,7 +1,15 @@
 import json
 
 from skeinpoly.cli import main
-from skeinpoly.rings import poly_from_json, ratfunc_from_json
+from skeinpoly.diagrams import BraidWord, braid_closure
+from skeinpoly.homfly import homfly_p
+from skeinpoly.rings import (
+    RatFunc,
+    poly_from_json,
+    ratfunc_from_json,
+    series_exp_v,
+    series_from_json,
+)
 
 
 def run(capsys, *argv):
@@ -49,6 +57,17 @@ def test_invariant_series_truncate(capsys):
     assert code == 2
 
 
+def test_series_json_round_trips(capsys):
+    code, out, _ = run(capsys, "invariant", "homfly", "braid:2:[1,1,1]", "--truncate", "3",
+                       "--json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["type"] == "series"
+    trefoil = braid_closure(BraidWord(2, (1, 1, 1)))
+    parsed = series_from_json(blob["value"])
+    assert parsed.order == 3 and parsed == series_exp_v(RatFunc(homfly_p(trefoil)), 3)
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "invariant", "homfly", "X[1,2,3,4]")
     assert code == 2 and "error" in err
@@ -60,6 +79,10 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "invariant", "homfly", "braid:2:[1,1,1,-1,1]",
                        "--budget", "2", "--memo", "off")
     assert code == 3
+    # the budget bounds the whole call: the three projector terms of this
+    # adjoint value take 274 + 625 + 1 nodes, each under the budget alone
+    code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "700")
+    assert code == 3 and "node budget 700 exceeded" in err
 
 
 def test_table(capsys):
@@ -69,6 +92,8 @@ def test_table(capsys):
     assert len(lines) == 7
     assert lines[0] == "-3\t-1 - 2*sp^2 + 2*sp*sm"
     assert lines[-1] == "3\t-1 + 2*sp*sm - 2*sm^2"
+    # the form with an explicit "--" before a negative range prints the same
+    assert run(capsys, "table", "i-values", "--", "-3..3") == (0, out, "")
     code, out, _ = run(capsys, "table", "qtilde-torus", "0..5")
     assert "5\t" in out
     code, out, _ = run(capsys, "table", "qtilde-torus", "3..2")
