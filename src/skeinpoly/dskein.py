@@ -170,9 +170,6 @@ class ConnSum:
     right: object
 
 
-FamilyLink = (Torus2, FramingShift, ConnSum)
-
-
 def total_framing_shift(link) -> int:
     if isinstance(link, Torus2):
         return 0

@@ -245,16 +245,6 @@ class LaurentPoly:
         return LaurentPoly(self.vars, {tuple(e + m for e, m in zip(exps, monomial_exps)): c
                                        for exps, c in self.terms.items()})
 
-    def coefficient_of(self, **var_powers):
-        """Coefficient (a LaurentPoly in the remaining vars) of the given powers."""
-        keep = [i for i, name in enumerate(self.vars) if name not in var_powers]
-        sel = {i: var_powers[name] for i, name in enumerate(self.vars) if name in var_powers}
-        out = {}
-        for exps, c in self.terms.items():
-            if all(exps[i] == p for i, p in sel.items()):
-                out[tuple(exps[i] for i in keep)] = c
-        return LaurentPoly(tuple(self.vars[i] for i in keep), out)
-
     def subs_int(self, name, value):
         """Substitute an exact rational value for one variable."""
         if name not in self.vars:
@@ -275,24 +265,6 @@ class LaurentPoly:
             else:
                 out[key] = s
         return LaurentPoly(tuple(self.vars[j] for j in keep), out)
-
-    def derivative(self, name):
-        """Formal derivative with respect to one variable."""
-        if name not in self.vars:
-            return LaurentPoly(self.vars, {})
-        i = self.vars.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = tuple(x - 1 if j == i else x for j, x in enumerate(exps))
-            s = out.get(key, 0) + c * e
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(self.vars, out)
 
     # ---- canonical text / JSON -----------------------------------------
 
@@ -315,12 +287,6 @@ def align(a: LaurentPoly, b: LaurentPoly):
         return a, b
     merged = tuple(sorted(set(a.vars) | set(b.vars), key=_ALPHABET_INDEX.get))
     return a.with_vars(merged), b.with_vars(merged)
-
-
-def variables(*names):
-    """Convenience: one generator polynomial per requested name."""
-    out = tuple(LaurentPoly.var(n) for n in names)
-    return out if len(out) != 1 else out[0]
 
 
 # --------------------------------------------------------------------------
@@ -692,25 +658,6 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_poly(self):
-        """True when the (reduced) denominator is a unit monomial."""
-        n, d = _ratfunc_reduce(self.num, self.den)
-        return len(d.terms) == 1
-
-    def as_poly(self):
-        """Return self as a LaurentPoly; raise if it is not one."""
-        n, d = _ratfunc_reduce(self.num, self.den)
-        if len(d.terms) != 1:
-            q = exact_divide(n, d)
-            if q is None:
-                raise ValidationError(f"{self} is not a Laurent polynomial")
-            return q
-        (exps, c), = d.terms.items()
-        n = n.shifted(tuple(-e for e in exps))
-        if c == 1:
-            return n
-        return LaurentPoly(n.vars, {e: _norm_coeff(Fraction(v) / c) for e, v in n.terms.items()})
 
     def subs_int(self, name, value):
         den = self.den.subs_int(name, value)

@@ -1,206 +1,87 @@
 """The acceptance gate: one test per criterion, exact equality throughout.
 
-Each criterion prints its own PASS/FAIL line (run pytest with -s to see
-them when everything passes).  Criterion 8 is a strict expected failure:
-its stated right-hand side normalization contradicts the expansion law
-that criteria 5 and 6 verify, so the identity is asserted as stated and
-marked xfail; the corrected form is covered in test_homfly on two knots.
+Criteria 1-8 run named checks of ``skeinpoly verify`` (``cli.checks``), the only copy of
+the values printed in the paper.  Each prints a PASS/FAIL line (seen with -s).  Criterion
+8's stated identity is a strict xfail; test_homfly checks the corrected form on two knots.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from skeinpoly import diagrams as dg
 from skeinpoly import dskein, homfly, kauffman
-from skeinpoly.rings import (
-    DeltaSeries,
-    LaurentPoly,
-    RatFunc,
-    psi_series,
-    series_exp_v,
-    specialize,
-)
+from skeinpoly.cli import checks
+from skeinpoly.rings import LaurentPoly, RatFunc, specialize
 
-V = LaurentPoly.var
-
-_HOMFLY = homfly.HomflyEngine()
-_KAUFFMAN = kauffman.KauffmanEngine()
+# every suite's checks, each suite with one engine shared by its checks
+CHECKS = {c.name: c for c in checks("all", homfly.DEFAULT_BUDGET, memo=True)}
 
 
-def report(criterion, ok, detail=""):
-    print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}{': ' + detail if detail else ''}")
-    assert ok, f"criterion {criterion} failed{': ' + detail if detail else ''}"
-
-
-def sigma(terms):
-    return LaurentPoly(("sp", "sm"), terms)
-
-
-def trefoil():
-    return dg.braid_closure(dg.BraidWord(2, (1, 1, 1)))
-
-
-SP_MINUS_SM = sigma({(1, 0): 1, (0, 1): -1})
+def report(criterion, names, detail):
+    """Print the criterion's PASS/FAIL line: it holds when each named check passes."""
+    failures = []
+    for name in names:
+        ok, expected, computed = CHECKS[name].run()
+        if not ok:
+            failures.append(f"{name}: expected {expected}, computed {computed}")
+    line = "; ".join([detail] + failures)
+    print(f"{'FAIL' if failures else 'PASS'} criterion {criterion}: {line}")
+    assert not failures, f"criterion {criterion} failed: {line}"
 
 
 def test_criterion_1_qtilde_values():
-    ok = (
-        dskein.torus_value(0).is_zero()
-        and dskein.torus_value(1) == sigma({(0, 0): 1})
-        and dskein.torus_value(-1) == sigma({(0, 0): -1})
-        and dskein.torus_value(2) == -SP_MINUS_SM
-        and dskein.torus_value(3) == sigma({(0, 0): 3}) - SP_MINUS_SM * sigma({(0, 0): 2, (0, 1): 1})
-        and dskein.torus_value(5) == sigma({(0, 0): 5}) + SP_MINUS_SM * sigma(
-            {(0, 0): -6, (1, 0): 2, (0, 1): -4, (1, 1): 2, (0, 2): -2, (0, 3): -1})
-        and dskein.i_value(0).is_zero()
-        and dskein.i_value(1) == sigma({(0, 0): -1})
-        and dskein.i_value(-1) == sigma({(0, 0): -1})
-        and dskein.i_value(2) == 2 * SP_MINUS_SM
-        and dskein.i_value(-2) == -2 * SP_MINUS_SM
-        and dskein.i_value(3) == sigma({(0, 0): -1, (1, 1): 2, (0, 2): -2})
-        and dskein.i_value(-3) == sigma({(0, 0): -1, (2, 0): -2, (1, 1): 2})
-    )
-    report(1, ok, "printed torus and trivalent-closure values")
+    report(1, [f"qtilde/torus({m})" for m in (-1, 0, 1, 2, 3, 5)]
+           + [f"qtilde/i({n})" for n in range(-3, 4)], "printed torus and trivalent-closure values")
 
 
 def test_criterion_2_recursion_coherence():
-    t3 = dskein.skein_vectors().t3
-    ok = True
-    for n in range(-8, 9):
-        forward = t3[0] + t3[1] * dskein.i_value(n - 2) + t3[2] * dskein.i_value(n - 1) \
-            + t3[3] * dskein.i_value(n) + t3[4] * dskein.i_value(n + 1) \
-            + t3[5] * dskein.i_value(n + 2)
-        backward = dskein.i_value(n + 3) - t3[0] - t3[2] * dskein.i_value(n - 1) \
-            - t3[3] * dskein.i_value(n) - t3[4] * dskein.i_value(n + 1) \
-            - t3[5] * dskein.i_value(n + 2)
-        ok = ok and forward == dskein.i_value(n + 3) and backward == dskein.i_value(n - 2)
-    report(2, ok, "recursion coefficients = printed 6-vector; round-trips agree")
+    report(2, ["qtilde/recursion-coherence"], "recursion = printed 6-vector; round-trips agree")
 
 
 def test_criterion_3_integrality():
-    ok = all(dskein.conj_integrality_check(dskein.torus_value(m))[0]
-             for m in range(-15, 16))
-    report(3, ok, "integer coefficients, nonnegative exponents for |m| <= 15")
+    report(3, ["qtilde/integrality"], "integer coefficients, nonnegative exponents for |m| <= 15")
 
 
 def test_criterion_4_homfly_engine():
-    v, z = V("v"), V("z")
-    kinked = dg.add_kinks(dg.add_kinks(dg.LinkDiagram((), (), 1), 0, -2), 0, 3)
-    ok_unknot = homfly.homfly_p(kinked, _HOMFLY) == LaurentPoly.const(1, ("v", "z"))
-    ok_trefoil = homfly.homfly_p(trefoil(), _HOMFLY) == 2 * v ** 2 - v ** 4 + v ** 2 * z ** 2
-    h_u0 = RatFunc(homfly.h_adjoint(homfly.unknot_diagram(), _HOMFLY))
-    ok_u0 = h_u0 == RatFunc((v ** 2 + z * v - 1) * (v ** 2 - z * v - 1), z ** 2 * v ** 2)
-    report(4, ok_unknot and ok_trefoil and ok_u0,
+    report(4, ["homfly/unknot", "homfly/trefoil-oracle", "homfly/adjoint-unknot"],
            "P on kinked unknots, trefoil oracle, adjoint unknot closed form")
 
 
-def _k3_ratio():
-    num = RatFunc(homfly.h_adjoint(trefoil(), _HOMFLY))
-    den = RatFunc(homfly.h_adjoint(homfly.unknot_diagram(), _HOMFLY))
-    return num / den
-
-
 def test_criterion_5_adjoint_ratio():
-    v, z = V("v"), V("z")
-    vv = RatFunc(v) - RatFunc(v) ** -1
-    printed = RatFunc(1) - 3 * vv + vv * vv * (
-        RatFunc(v + 4, v + 1) + RatFunc((v ** 2 + 4) * z ** 2 + z ** 4))
-    ratio = _k3_ratio()
-    ok_ratio = ratio == printed
-    z2 = V("z") ** 2
-    expected = DeltaSeries(3, {0: 1, 1: 3, 2: Fraction(5, 2) + 5 * z2 + z2 ** 2})
-    ok_series = series_exp_v(ratio, 3) == expected
-    report(5, ok_ratio and ok_series, "printed closed form and its series expansion")
+    report(5, ["homfly/adjoint-ratio-k3", "homfly/adjoint-series"],
+           "printed closed form and its series expansion")
 
 
 def test_criterion_6_series_split():
-    z2 = V("z") ** 2
-    psi_q = psi_series(dskein.qtilde(dskein.Torus2(3)))
-    ok_psi = psi_q == DeltaSeries(2, {0: 3, 1: z2 * (z2 + 5)})
-    w = 3
-    v2_value = homfly.v2(trefoil(), _HOMFLY)
-    split = DeltaSeries(3, {0: 1, 2: Fraction(w * w, 2) - 2 * v2_value}) \
-        + DeltaSeries(3, {k + 1: c for k, c in psi_q.coeffs.items()})
-    ok_split = split == series_exp_v(_k3_ratio(), 3)
-    report(6, ok_psi and ok_split,
-           "1 + 3d + d^2(9/2 - 2) + d^2 z^2 (z^2+5) splits as writhe/V2 + psi terms")
+    report(6, ["homfly/series-split"], "the series splits as writhe/V2 + psi terms")
 
 
 def test_criterion_7_kauffman_values():
-    s, a = V("s"), V("a")
-    u0 = dg.LinkDiagram((), None, 1)
-    k_u0 = kauffman.k_adjoint(u0, _KAUFFMAN)
-    ok_closed = k_u0 == RatFunc((a ** 2 - 1) * (s ** 3 + a) * (s * a - 1) * s,
-                                a ** 2 * (s ** 4 - 1) * (s ** 2 - 1))
-    ok_probe = k_u0.subs_int("s", 2).subs_int("a", 3) == RatFunc(Fraction(176, 81))
-
-    ratio = kauffman.k_adjoint(trefoil(), _KAUFFMAN) / k_u0
-    printed = RatFunc(a ** 2 - s ** 2) * (
-        RatFunc(s ** 12 + s ** 8 + s ** 6 + 1, s ** 10)
-        + RatFunc((s ** 4 - 1) * (s ** 6 + 1), s ** 7 * a)
-        - RatFunc(s ** 12 - s ** 10 - s ** 8 + 2 * s ** 6 - s ** 2 + 1, s ** 6 * a ** 2)
-        - RatFunc((s ** 4 - 1) * (s ** 6 - s ** 2 + 1), s ** 3 * a ** 3)
-        - RatFunc((s ** 4 - 1) * (s ** 2 - 1), a ** 4))
-    # the printed series vanishes at a = s, so the ratio (which the same
-    # criterion pins to 1 there) carries a leading 1 the display dropped
-    ok_ratio = ratio == RatFunc(1) + printed
-
-    one = RatFunc(1)
-    ok_spec = (kauffman.kauf_alpha_eq_s_check(u0, _KAUFFMAN) == one
-               and kauffman.kauf_alpha_eq_s_check(dg.braid_closure(dg.BraidWord(2, (1, 1))),
-                                                  _KAUFFMAN) == one
-               and kauffman.kauf_alpha_eq_s_check(trefoil(), _KAUFFMAN) == one)
-
-    unknot_term = RatFunc(s ** 4 + 4 * s ** 2 + 1, s * (s ** 4 - 1))
-    ok_der_u0 = kauffman.kauf_derivative_at_s(u0, _KAUFFMAN) == unknot_term
-    phi = {"sp": RatFunc(2 * s ** -2 + s ** 4), "sm": RatFunc(2 * s ** 2 + s ** -4)}
-    phi_q = specialize(dskein.qtilde(dskein.Torus2(3)), phi)
-    der_k3 = kauffman.kauf_derivative_at_s(trefoil(), _KAUFFMAN)
-    # the unknot term rides outside the 2/s factor; both groupings
-    # coincide at s=2 (where 2/s = 1), checked as a probe
-    ok_der_k3 = der_k3 == RatFunc(2, s) * phi_q + unknot_term
-    ok_probe_s2 = der_k3.subs_int("s", 2) == \
-        (RatFunc(2, s) * (phi_q + unknot_term)).subs_int("s", 2)
-
-    report(7, ok_closed and ok_probe and ok_ratio and ok_spec and ok_der_u0
-           and ok_der_k3 and ok_probe_s2,
+    report(7, [f"kauffman/{n}" for n in ("adjoint-unknot-closed-form", "adjoint-unknot-probe",
+               "adjoint-ratio-k3", "alpha-eq-s-unknot", "alpha-eq-s-hopf", "alpha-eq-s-k3",
+               "derivative-unknot", "derivative-k3")],
            "adjoint Kauffman closed forms, a=s specialization, derivative identities")
 
 
 @pytest.mark.slow
 def test_criterion_7_connected_sum():
-    t = trefoil()
-    granny = dg.connected_sum(t, 0, t, 0)
-    ok = kauffman.kauf_alpha_eq_s_check(granny, _KAUFFMAN) == RatFunc(1)
-    report("7 (connected sum)", ok, "a=s specialization equals 1 on a connected sum")
-
-
-def _conjecture_sides_k3():
-    k3 = dg.add_kinks(trefoil(), 0, -3)
-    q = dskein.qtilde(dskein.FramingShift(dskein.Torus2(3), -3))
-    return homfly.conjecture_sides(k3, q, _HOMFLY)
+    report("7 (connected sum)", ["kauffman/alpha-eq-s-granny (slow)"],
+           "a=s specialization equals 1 on a connected sum")
 
 
 @pytest.mark.slow
 def test_criterion_8_rhs_formula():
-    _, rhs = _conjecture_sides_k3()
-    z = V("z")
-    report("8 (rhs formula)", rhs == RatFunc(-2) + RatFunc(z ** 2 + 5, z ** 2),
-           "rhs matches the stated -2 + (z^2+5)/z^2")
+    report("8 (rhs formula)", ["conjecture/stated-rhs-k3"], "rhs matches the stated form")
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(
-    strict=True,
-    reason="the stated identity divides by z^2 where the verified expansion law "
-           "multiplies by z^2; orientation conventions were re-examined first and "
-           "are pinned by criterion 5; the corrected identity is machine-checked "
-           "on two knots in test_homfly")
+@pytest.mark.xfail(strict=True, reason=(
+    "the stated identity divides by z^2 where the verified expansion law multiplies by z^2; "
+    "orientation conventions were re-examined first and are pinned by criterion 5; "
+    "the corrected identity is machine-checked on two knots in test_homfly"))
 def test_criterion_8_identity_as_stated():
-    lhs, rhs = _conjecture_sides_k3()
-    report(8, lhs == rhs, f"lhs {lhs.to_text()} vs stated rhs {rhs.to_text()}")
+    report(8, ["conjecture/zero-framed-k3 (stated form; known inconsistent)"], "lhs = stated rhs")
 
 
 def test_criterion_9_property_suites():
@@ -212,7 +93,7 @@ def test_criterion_9_property_suites():
                                        for _ in range(3)})
         q = LaurentPoly(("sp", "sm"), {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4)
                                        for _ in range(3)})
-        s = V("s")
+        s = LaurentPoly.var("s")
         phi = {"sp": RatFunc(2 * s ** -2 + s ** 4), "sm": RatFunc(2 * s ** 2 + s ** -4)}
         assert specialize(p * q, phi) == specialize(p, phi) * specialize(q, phi)
 
@@ -246,4 +127,4 @@ def test_criterion_9_property_suites():
         assert dskein.i_value(-n) == sigma_swap(dskein.i_value(n))
         assert dskein.torus_value(-n) == -sigma_swap(dskein.torus_value(n))
 
-    report(9, True, "property suites (seeded) all hold")
+    report(9, [], "property suites (seeded) all hold")

@@ -1,6 +1,8 @@
 import json
 
-from skeinpoly.cli import main
+import pytest
+
+from skeinpoly.cli import checks, main
 from skeinpoly.diagrams import BraidWord, braid_closure
 from skeinpoly.homfly import homfly_p
 from skeinpoly.rings import (
@@ -94,10 +96,26 @@ def test_table(capsys):
     assert lines[-1] == "3\t-1 + 2*sp*sm - 2*sm^2"
     # the form with an explicit "--" before a negative range prints the same
     assert run(capsys, "table", "i-values", "--", "-3..3") == (0, out, "")
+    # a flag after a negative range still parses as a flag
+    code, out, _ = run(capsys, "table", "i-values", "-3..3", "--json")
+    assert code == 0 and json.loads(out)["format"] == "skeinpoly-table/1"
+    assert run(capsys, "table", "i-values", "--json", "-3..3") == (0, out, "")
     code, out, _ = run(capsys, "table", "qtilde-torus", "0..5")
     assert "5\t" in out
     code, out, _ = run(capsys, "table", "qtilde-torus", "3..2")
     assert code == 0 and out == ""
+
+
+def test_flags_only_where_read(capsys):
+    # table reads only --json; verify never reads --truncate
+    for argv in (["table", "i-values", "0..2", "--truncate", "3"],
+                 ["table", "i-values", "0..2", "--memo", "off"],
+                 ["table", "i-values", "0..2", "--budget", "1"],
+                 ["verify", "qtilde", "--truncate", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_determinism(capsys):
@@ -126,3 +144,15 @@ def test_verify_json_shape(capsys):
     assert all(row["status"] in ("pass", "fail", "skip") for row in blob["checks"])
     names = [row["name"] for row in blob["checks"]]
     assert names == sorted(names)
+
+
+def test_verify_conjecture(capsys):
+    code, out, _ = run(capsys, "verify", "conjecture", "--json")
+    assert code == 1
+    statuses = {row["name"]: row["status"] for row in json.loads(out)["checks"]}
+    assert statuses == {
+        "conjecture/stated-rhs-k3": "pass",
+        "conjecture/zero-framed-k3 (stated form; known inconsistent)": "fail",
+    }
+    names = [c.name for c in checks("all", 1, True)]
+    assert len(names) == len(set(names))
