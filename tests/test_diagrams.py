@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,10 +8,13 @@ from skeinpoly.diagrams import (
     CablePattern,
     LinkDiagram,
     add_kinks,
+    bigon_reductions,
     braid_closure,
     cable2,
     canonical_key,
     connected_sum,
+    curl_sign,
+    delete_components,
     diagram_from_json,
     diagram_to_json,
     diagram_to_text,
@@ -20,8 +24,14 @@ from skeinpoly.diagrams import (
     kauffman_adjoint_expansion,
     kauffman_projector_coefficients,
     mirror,
+    oriented_smoothed,
     parse_diagram,
+    reverse_all,
     self_writhes,
+    smoothed,
+    strip_bigon,
+    strip_curl,
+    switched,
     writhe_data,
 )
 from skeinpoly.errors import (
@@ -354,3 +364,90 @@ def test_homfly_expansion_signs_multiply():
     terms = homfly_adjoint_expansion(d)
     assert len(terms) == 8
     assert sorted(s for s, _ in terms) == [-1, -1, -1, -1, 1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# Golden hash over every public construction
+# ---------------------------------------------------------------------------
+
+def _golden_ladder():
+    """Closures, unknots and kinked unknots, each oriented and unoriented."""
+    unknot = LinkDiagram((), (), 1)
+    oriented = [closure(w, n) for n, w in (
+        (1, []), (2, [1, 1, 1]), (2, [-1, -1, -1]), (2, [1, 1]), (3, [1, 1]),
+        (3, [1, -2, 1, -2]), (3, [1, 1, 2, -1, 2]), (3, [1, 2]), (3, [2, 2, -1]))]
+    oriented += [unknot, LinkDiagram((), (), 2), add_kinks(unknot, 0, 1),
+                 add_kinks(unknot, 0, -2), add_kinks(closure([1, 1, 1]), 0, -3)]
+    return oriented + [LinkDiagram(d.crossings, None, d.free_loops) for d in oriented]
+
+
+def _golden_records():
+    records = []
+
+    def record(label, fn, *args):
+        try:
+            out = fn(*args)
+        except Exception as exc:            # errors are part of the contract
+            records.append(f"{label} !{type(exc).__name__}: {exc}")
+            return None
+        if isinstance(out, LinkDiagram):
+            text = diagram_to_text(out)
+        elif isinstance(out, list):
+            text = " | ".join(f"{c}: {diagram_to_text(t)}" for c, t in out)
+        else:
+            text = repr(out)
+        records.append(f"{label} {text}")
+        return out
+
+    patterns = [CablePattern.parallel2(), CablePattern.twisted(1), CablePattern.twisted(-1),
+                CablePattern.twisted(2), CablePattern.turnback(), CablePattern.delete()]
+    trefoil = closure([1, 1, 1])
+    for n, d in enumerate(_golden_ladder()):
+        tag = f"{n}:{diagram_to_text(d)}"
+        partner = trefoil if d.oriented else mirror(LinkDiagram(trefoil.crossings, None, 0))
+        comps = d.num_components()
+        record(f"{tag} mirror", mirror, d)
+        record(f"{tag} reverse", reverse_all, d)
+        for ci in range(len(d.crossings)):
+            record(f"{tag} switch {ci}", switched, d, ci)
+            for which in ("01", "03", "12"):
+                record(f"{tag} smooth {ci} {which}", smoothed, d, ci, which)
+            record(f"{tag} osmooth {ci}", oriented_smoothed, d, ci)
+            record(f"{tag} curl {ci}", strip_curl, d, ci)
+        for bigon in bigon_reductions(d):
+            record(f"{tag} bigon {bigon}", strip_bigon, d, *bigon)
+        for c in range(comps + 1):
+            record(f"{tag} sum {c}", connected_sum, d, c, partner, 0)
+            record(f"{tag} rsum {c}", connected_sum, partner, 0, d, c)
+            record(f"{tag} kinks {c}", add_kinks, d, c, 2 if c % 2 else -1)
+            record(f"{tag} delete {c}", delete_components, d, [c])
+        record(f"{tag} union", disjoint_union, d, partner)
+        record(f"{tag} delete all", delete_components, d, range(comps))
+        for mode in ("antiparallel", "parallel"):
+            for k, pat in enumerate(patterns):
+                for first_only in (False, True):
+                    pats = {i: pat if i == 0 or not first_only else patterns[0]
+                            for i in range(comps)}
+                    c = record(f"{tag} cable {mode} {k} {first_only}", cable2, d, pats, mode)
+                    if c is None:
+                        continue
+                    for ci in range(len(c.crossings)):
+                        if curl_sign(c, ci) is not None:
+                            record(f"{tag} cable {mode} {k} {first_only} curl {ci}",
+                                   strip_curl, c, ci)
+                    for bigon in bigon_reductions(c):
+                        record(f"{tag} cable {mode} {k} {first_only} bigon {bigon}",
+                               strip_bigon, c, *bigon)
+        record(f"{tag} homfly-ad", homfly_adjoint_expansion, d)
+        if comps <= 2:
+            record(f"{tag} kauffman-ad", kauffman_adjoint_expansion, d)
+    return records
+
+
+def test_constructions_golden_hash():
+    # one digest over the text of every construction on a fixed ladder, so a
+    # rewrite of the surgeries that changes any output edge label shows here
+    records = _golden_records()
+    assert len(records) == 2130
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "b21eff987faa969a216f3b46dd7e22a6bc3c968840ae996e50f33179bb89d94c"
