@@ -3,11 +3,11 @@
 # make the computation tick.
 
 from skeinpoly.dskein import (
+    T3_VECTOR,
     conj_integrality_check,
     i_value,
     parse_family,
     qtilde,
-    skein_vectors,
     torus_value,
 )
 from skeinpoly.rings import poly_to_text, sigma_swap
@@ -21,7 +21,7 @@ for n in range(-4, 5):
     print(f"  I({n:>2}):  {poly_to_text(i_value(n))}")
 
 print("\nThe recursion is literally the stored 6-vector paired with shifts:")
-t3 = skein_vectors().t3
+t3 = T3_VECTOR
 n = 4
 acc = t3[0] + t3[1] * i_value(n - 2) + t3[2] * i_value(n - 1) \
     + t3[3] * i_value(n) + t3[4] * i_value(n + 1) + t3[5] * i_value(n + 2)

@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from . import diagrams as dg
 from . import dskein, homfly, kauffman
+from .dskein import _sigma
 from .errors import ParseError, ResourceLimit, SkeinError
 from .rings import (
     DeltaSeries,
@@ -156,10 +157,6 @@ class Check:
         self.run = run
 
 
-def _sigma(terms):
-    return LaurentPoly(("sp", "sm"), terms)
-
-
 def _pair(computed, expected):
     ok = computed == expected
     return ok, _value_to_text(expected), _value_to_text(computed)
@@ -196,7 +193,7 @@ def _qtilde_checks():
                             lambda n=n, e=expect: _pair(dskein.i_value(n), e)))
 
     def coherence():
-        t3 = dskein.skein_vectors().t3
+        t3 = dskein.T3_VECTOR
         i = dskein.i_value
         for n in range(-8, 9):
             forward = t3[0] + t3[1] * i(n - 2) + t3[2] * i(n - 1) + t3[3] * i(n) \

@@ -12,9 +12,11 @@ With both strands of a braid generator pointing downward this makes the
 positive generator a writhe +1 crossing, so the closure of the word
 [1, 1, 1] on two strands is the writhe +3 trefoil.
 
-Crossingless circles ("free loops") are stored as a bare count.  PD
-codes are trusted for planarity: only combinatorial well-formedness is
-validated, since none of the computations needs an embedding.
+Crossingless circles ("free loops") are stored as a bare count.  The
+constructor validates only combinatorial well-formedness.  PD text and
+JSON input (``parse_diagram``, ``diagram_from_json``) are also checked
+for planarity by Euler's formula: a connected part with n crossings
+must have n + 2 faces.
 
 Diagrams are immutable; all operations return new diagrams and are safe
 to call concurrently.
@@ -80,15 +82,15 @@ class LinkDiagram:
             raise ValidationError(f"edges {bad} do not have exactly two ends (dangling or overused)")
         if self.signs is not None:
             seen_in, seen_out = set(), set()
-            for x, s in zip(self.crossings, self.signs):
-                over_in, over_out = (3, 1) if s == 1 else (1, 3)
-                for slot in (0, over_in):
+            for ci, x in enumerate(self.crossings):
+                in_slots = self.in_slots(ci)
+                for slot in in_slots:
                     e = x[slot]
                     if e in seen_in:
                         raise ValidationError(f"edge {e} flows into two crossing slots")
                     seen_in.add(e)
-                for slot in (2, over_out):
-                    e = x[slot]
+                for slot in in_slots:
+                    e = x[(slot + 2) % 4]
                     if e in seen_out:
                         raise ValidationError(f"edge {e} flows out of two crossing slots")
                     seen_out.add(e)
@@ -233,7 +235,17 @@ def parse_diagram(text):
         pos += len(raw) + 1
     if has_sign and has_plain:
         raise ParseError("mix of oriented X+/X- and unoriented X crossings")
-    return LinkDiagram(crossings, signs if has_sign else None, loops)
+    return _planar(LinkDiagram(crossings, signs if has_sign else None, loops))
+
+
+def _planar(d: LinkDiagram) -> LinkDiagram:
+    """d itself, once Euler's formula F = n + 2 holds for each connected part."""
+    if d.crossings:
+        found, needed = len(faces(d)), len(d.crossings) + 2 * len(connected_parts(d))
+        if found != needed:
+            raise ValidationError(f"PD code is not planar: {found} faces where "
+                                  f"Euler's formula needs {needed}")
+    return d
 
 
 def diagram_to_text(d: LinkDiagram) -> str:
@@ -271,9 +283,10 @@ def diagram_from_json(obj):
             signs = None
         else:
             signs = tuple(int(s) for s in raw_signs)
-        return LinkDiagram(crossings, signs, int(obj.get("free_loops", 0)))
+        d = LinkDiagram(crossings, signs, int(obj.get("free_loops", 0)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad diagram JSON: {exc}") from exc
+    return _planar(d)
 
 
 def braid_to_json(b: BraidWord) -> dict:
@@ -396,6 +409,19 @@ def _flow_heads(d: LinkDiagram):
     return head
 
 
+def _normalized(x, ci, head):
+    """Crossing ci rotated so its incoming under-strand sits at slot 0, and its sign.
+
+    ``head`` maps edges to their head ends; None when a strand of the
+    crossing has no head end at ci.
+    """
+    under_in = next((s for s in (0, 2) if head.get(x[s]) == (ci, s)), None)
+    over_in = next((s for s in (1, 3) if head.get(x[s]) == (ci, s)), None)
+    if under_in is None or over_in is None:
+        return None
+    return x[under_in:] + x[:under_in], (1 if (over_in - under_in) % 4 == 3 else -1)
+
+
 def self_writhes(d: LinkDiagram):
     """Per-component self-writhe; defined for unoriented diagrams too.
 
@@ -406,12 +432,9 @@ def self_writhes(d: LinkDiagram):
     head = _flow_heads(d)
     totals = [0] * d.num_components()
     for ci, x in enumerate(d.crossings):
-        cu, co = comp_of[x[0]], comp_of[x[1]]
-        if cu != co:
-            continue
-        under_in = 0 if head[x[0]] == (ci, 0) else 2
-        over_in = 1 if head[x[1]] == (ci, 1) else 3
-        totals[cu] += 1 if (over_in - under_in) % 4 == 3 else -1
+        cu = comp_of[x[0]]
+        if cu == comp_of[x[1]]:
+            totals[cu] += _normalized(x, ci, head)[1]
     return tuple(totals)
 
 
@@ -419,63 +442,67 @@ def self_writhes(d: LinkDiagram):
 # Elementary surgeries (shared by constructions and the skein engines)
 # ---------------------------------------------------------------------------
 
-class Surgery:
-    """A mutable scratch copy of a diagram for local rewrites.
+def _rewired(d: LinkDiagram, drop, merges, oriented=True, loops=0) -> LinkDiagram:
+    """d without the crossings in ``drop`` and with each edge pair of ``merges`` joined.
 
-    Edge merges are tracked through an alias map, so a sequence of merges
-    stays correct even when later pairs mention already-merged labels.
+    Merges resolve through an alias map, so a later pair may name a label
+    an earlier pair merged away.  A merge keeps its first edge's label, and
+    merging an edge with itself closes a free loop.  ``loops`` is added to
+    the free loops; ``oriented=False`` drops the signs.
     """
+    alias = {}
 
-    __slots__ = ("crossings", "signs", "free_loops", "_alias")
-
-    def __init__(self, d: LinkDiagram):
-        self.crossings = [list(x) for x in d.crossings]
-        self.signs = None if d.signs is None else list(d.signs)
-        self.free_loops = d.free_loops
-        self._alias = {}
-
-    def _resolve(self, e):
-        while e in self._alias:
-            e = self._alias[e]
+    def resolve(e):
+        while e in alias:
+            e = alias[e]
         return e
 
-    def diagram(self, validate=False):
-        return LinkDiagram(self.crossings, self.signs, self.free_loops, validate=validate)
-
-    def merge_edges(self, a, b):
-        """Join edges a and b into one strand; merging an edge with itself
-        closes a free loop."""
-        a, b = self._resolve(a), self._resolve(b)
+    free_loops = d.free_loops + loops
+    for a, b in merges:
+        a, b = resolve(a), resolve(b)
         if a == b:
-            self.free_loops += 1
-            return
-        self._alias[b] = a
-        for x in self.crossings:
-            for i in range(4):
-                if x[i] == b:
-                    x[i] = a
+            free_loops += 1
+        else:
+            alias[b] = a
+    keep = [i for i in range(len(d.crossings)) if i not in drop]
+    crossings = [tuple(resolve(e) for e in d.crossings[i]) for i in keep]
+    signs = None if d.signs is None or not oriented else [d.signs[i] for i in keep]
+    return LinkDiagram(crossings, signs, free_loops, validate=False)
 
-    def drop_crossings(self, indices):
-        drop = set(indices)
-        self.crossings = [x for i, x in enumerate(self.crossings) if i not in drop]
-        if self.signs is not None:
-            self.signs = [s for i, s in enumerate(self.signs) if i not in drop]
+
+def _flipped(d: LinkDiagram, indices) -> LinkDiagram:
+    """d with over- and under-strand exchanged at the given crossings."""
+    crossings = list(d.crossings)
+    signs = None if d.signs is None else list(d.signs)
+    for ci in indices:
+        a, b, c, e = crossings[ci]
+        if signs is not None and signs[ci] == 1:
+            crossings[ci] = (e, a, b, c)
+            signs[ci] = -1
+        else:
+            crossings[ci] = (b, c, e, a)
+            if signs is not None:
+                signs[ci] = 1
+    return LinkDiagram(crossings, signs, d.free_loops, validate=False)
 
 
 def switched(d: LinkDiagram, ci) -> LinkDiagram:
     """Exchange over- and under-strand at one crossing."""
-    a, b, c, e = d.crossings[ci]
-    crossings = list(d.crossings)
-    signs = None if d.signs is None else list(d.signs)
-    if d.signs is None:
-        crossings[ci] = (b, c, e, a)
-    elif d.signs[ci] == 1:
-        crossings[ci] = (e, a, b, c)
-        signs[ci] = -1
-    else:
-        crossings[ci] = (b, c, e, a)
-        signs[ci] = 1
-    return LinkDiagram(crossings, signs, d.free_loops, validate=False)
+    return _flipped(d, (ci,))
+
+
+def mirror(d: LinkDiagram) -> LinkDiagram:
+    """Flip every crossing's over/under designation (reflect through the page)."""
+    return _flipped(d, range(len(d.crossings)))
+
+
+def _smooth(d: LinkDiagram, ci, slot_pairs, oriented) -> LinkDiagram:
+    """Erase crossing ci, joining the edges at each pair of its slots."""
+    x = d.crossings[ci]
+    return _rewired(d, (ci,), [(x[i], x[j]) for i, j in slot_pairs], oriented)
+
+
+_SMOOTHINGS = {"01": ((0, 1), (2, 3)), "03": ((0, 3), (1, 2))}
 
 
 def smoothed(d: LinkDiagram, ci, which) -> LinkDiagram:
@@ -484,51 +511,19 @@ def smoothed(d: LinkDiagram, ci, which) -> LinkDiagram:
     The result is unoriented (there is no canonical orientation for the
     smoothing of an unoriented crossing).
     """
-    x = d.crossings[ci]
-    s = Surgery(d)
-    s.signs = None
-    s.drop_crossings([ci])
-    if which == "01":
-        pairs = ((x[0], x[1]), (x[2], x[3]))
-    elif which == "03":
-        pairs = ((x[0], x[3]), (x[1], x[2]))
-    else:
+    if which not in _SMOOTHINGS:
         raise ValidationError(f"unknown smoothing {which!r}")
-    for a, b in pairs:
-        s.merge_edges(a, b)
-    return s.diagram()
+    return _smooth(d, ci, _SMOOTHINGS[which], oriented=False)
 
 
 def oriented_smoothed(d: LinkDiagram, ci) -> LinkDiagram:
     """The orientation-respecting smoothing of an oriented crossing."""
     if d.signs is None:
         raise Unoriented("oriented smoothing needs an oriented diagram")
-    x = d.crossings[ci]
-    s = Surgery(d)
-    s.drop_crossings([ci])
-    if d.signs[ci] == 1:
-        pairs = ((x[0], x[1]), (x[3], x[2]))   # under-in joins over-out, over-in joins under-out
-    else:
-        pairs = ((x[0], x[3]), (x[1], x[2]))
-    for a, b in pairs:
-        s.merge_edges(a, b)
-    return s.diagram()
-
-
-def mirror(d: LinkDiagram) -> LinkDiagram:
-    """Flip every crossing's over/under designation (reflect through the page)."""
-    crossings = []
-    signs = None if d.signs is None else []
-    for i, (a, b, c, e) in enumerate(d.crossings):
-        if d.signs is None:
-            crossings.append((b, c, e, a))
-        elif d.signs[i] == 1:
-            crossings.append((e, a, b, c))
-            signs.append(-1)
-        else:
-            crossings.append((b, c, e, a))
-            signs.append(1)
-    return LinkDiagram(crossings, signs, d.free_loops, validate=False)
+    # under-in joins over-out and over-in joins under-out, each keeping the
+    # incoming label: labels decide where the child's descending walk starts
+    pairs = ((0, 1), (3, 2)) if d.signs[ci] == 1 else ((0, 3), (1, 2))
+    return _smooth(d, ci, pairs, oriented=True)
 
 
 def reverse_all(d: LinkDiagram) -> LinkDiagram:
@@ -690,10 +685,7 @@ def strip_curl(d: LinkDiagram, ci) -> LinkDiagram:
             break
     if loop_at is None:
         raise ValidationError(f"crossing {ci} is not a curl")
-    s = Surgery(d)
-    s.drop_crossings([ci])
-    s.merge_edges(x[(loop_at + 2) % 4], x[(loop_at + 3) % 4])
-    return s.diagram()
+    return _rewired(d, (ci,), [(x[(loop_at + 2) % 4], x[(loop_at + 3) % 4])])
 
 
 def bigon_reductions(d: LinkDiagram):
@@ -726,11 +718,7 @@ def strip_bigon(d: LinkDiagram, ci, i, cj, j) -> "LinkDiagram | None":
     for a, b in merges:
         if a in bigon_edges or b in bigon_edges:
             return None
-    s = Surgery(d)
-    s.drop_crossings([ci, cj])
-    for a, b in merges:
-        s.merge_edges(a, b)
-    return s.diagram()
+    return _rewired(d, (ci, cj), merges)
 
 
 # ---------------------------------------------------------------------------
@@ -929,20 +917,15 @@ def delete_components(d: LinkDiagram, comp_indices) -> LinkDiagram:
             drop_loops += 1
         else:
             drop_edges.update(comps[idx])
-    s = Surgery(d)
-    s.free_loops -= drop_loops
-    drop = []
+    drop, merges = set(), []
     for ci, x in enumerate(d.crossings):
         if x[0] in drop_edges or x[1] in drop_edges:
-            drop.append(ci)
-    for ci in drop:
-        x = s.crossings[ci]
-        if x[0] not in drop_edges:
-            s.merge_edges(x[0], x[2])
-        elif x[1] not in drop_edges:
-            s.merge_edges(x[1], x[3])
-    s.drop_crossings(drop)
-    return _relabel_dense(s.diagram())
+            drop.add(ci)
+            if x[0] not in drop_edges:
+                merges.append((x[0], x[2]))
+            elif x[1] not in drop_edges:
+                merges.append((x[1], x[3]))
+    return _relabel_dense(_rewired(d, drop, merges, loops=-drop_loops))
 
 
 def _orient_arbitrarily(d: LinkDiagram) -> LinkDiagram:
@@ -950,13 +933,9 @@ def _orient_arbitrarily(d: LinkDiagram) -> LinkDiagram:
     if d.signs is not None:
         return d
     head = _flow_heads(d)
-    crossings, signs = [], []
-    for ci, x in enumerate(d.crossings):
-        under_in = 0 if head[x[0]] == (ci, 0) else 2
-        over_in = 1 if head[x[1]] == (ci, 1) else 3
-        crossings.append(tuple(x[(under_in + k) % 4] for k in range(4)))
-        signs.append(1 if (over_in - under_in) % 4 == 3 else -1)
-    return LinkDiagram(crossings, signs, d.free_loops, validate=False)
+    normal = [_normalized(x, ci, head) for ci, x in enumerate(d.crossings)]
+    return LinkDiagram([x for x, _ in normal], [s for _, s in normal], d.free_loops,
+                       validate=False)
 
 
 class _CableBuilder:
@@ -1012,10 +991,7 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
     work = d if oriented_out else _orient_arbitrarily(d)
     comps = work.edge_components()
     ends = work.ends()
-    head = {}
-    for ci, x in enumerate(work.crossings):
-        for slot in work.in_slots(ci):
-            head[x[slot]] = (ci, slot)
+    head = _flow_heads(work)
 
     builder = _CableBuilder()
     loops_extra = 0
@@ -1163,16 +1139,11 @@ def _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra):
         if port_edge[p] not in head_of:
             walk_from(p)
 
-    out_crossings, out_signs = [], []
-    for ci, ports in enumerate(builder.crossings):
-        x = crossings[ci]
-        under_in = next((s for s in (0, 2) if head_of.get(x[s]) == (ci, s)), None)
-        over_in = next((s for s in (1, 3) if head_of.get(x[s]) == (ci, s)), None)
-        if under_in is None or over_in is None:
-            raise ValidationError("cable orientation propagation failed")
-        out_crossings.append(tuple(x[(under_in + k) % 4] for k in range(4)))
-        out_signs.append(1 if (over_in - under_in) % 4 == 3 else -1)
-    return _relabel_dense(LinkDiagram(out_crossings, out_signs, loops_extra, validate=True))
+    normal = [_normalized(x, ci, head_of) for ci, x in enumerate(crossings)]
+    if None in normal:
+        raise ValidationError("cable orientation propagation failed")
+    return _relabel_dense(LinkDiagram([x for x, _ in normal], [s for _, s in normal],
+                                      loops_extra, validate=True))
 
 
 def homfly_adjoint_expansion(d: LinkDiagram):

@@ -70,18 +70,6 @@ ROT_T2_VECTOR = (
 )
 
 
-@dataclass(frozen=True)
-class SkeinVectors:
-    """The two printed 6-vectors over sp/sm polynomials (read-only data)."""
-
-    t3: tuple
-    rot2: tuple
-
-
-def skein_vectors() -> SkeinVectors:
-    return SkeinVectors(T3_VECTOR, ROT_T2_VECTOR)
-
-
 # ---------------------------------------------------------------------------
 # The I(n) recursion
 # ---------------------------------------------------------------------------

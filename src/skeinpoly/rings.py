@@ -361,19 +361,11 @@ def poly_from_json(obj) -> LaurentPoly:
 # Exact division and multivariate GCD.
 # --------------------------------------------------------------------------
 
-def _min_exponents(p: LaurentPoly):
-    mins = None
-    for exps in p.terms:
-        if mins is None:
-            mins = list(exps)
-        else:
-            mins = [min(m, e) for m, e in zip(mins, exps)]
-    return mins or [0] * len(p.vars)
-
-
 def monomial_content(p: LaurentPoly):
     """Exponent vector of the largest monomial dividing p (its min exponents)."""
-    return tuple(_min_exponents(p))
+    if not p.terms:
+        return (0,) * len(p.vars)
+    return tuple(map(min, zip(*p.terms)))
 
 
 def exact_divide(p: LaurentPoly, g: LaurentPoly):
@@ -692,8 +684,8 @@ def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly):
     if num.is_zero():
         return LaurentPoly(num.vars, {}), LaurentPoly.const(1, den.vars)
     # joint monomial content
-    mn = _min_exponents(num)
-    md = _min_exponents(den)
+    mn = monomial_content(num)
+    md = monomial_content(den)
     shift = tuple(-min(a, b) for a, b in zip(mn, md))
     num = num.shifted(shift)
     den = den.shifted(shift)
@@ -1064,10 +1056,6 @@ class DeltaSeries:
         return DeltaSeries(order, out)
 
     __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by d^k (dropping overflow)."""
-        return DeltaSeries(self.order, {i + k: c for i, c in self.coeffs.items() if i + k < self.order})
 
     def __eq__(self, other):
         other = self._common(other)

@@ -8,8 +8,9 @@ a split union of unknots, whose value the relation fixes directly.
 
 Before branching, every node strips curls and parallel bigons eagerly:
 the first curl by crossing index, else the first strippable bigon, then
-the search restarts.  Free loops are counted, split diagrams factor into
-their connected parts, and connected parts are memoized on a
+the search restarts.  Free loops ride through the strip loop, to which
+each strip may add, and are counted once after it; split diagrams factor
+into their connected parts, and connected parts are memoized on a
 relabeling-invariant canonical key.  The strip order decides which
 diagrams get memoized, so it is part of the engines' node counts.
 
@@ -79,31 +80,25 @@ class SkeinEngine:
 
     def _eval(self, d: dg.LinkDiagram):
         self._tick()
-        loops = d.free_loops
         chirality = 0
-        if loops:
-            d = dg.LinkDiagram(d.crossings, d.signs, 0, validate=False)
-        changed = True
-        while changed and d.crossings:
-            changed = False
+        while d.crossings:
             for ci in range(len(d.crossings)):
                 sign = dg.curl_sign(d, ci)
                 if sign is not None:
                     chirality += sign
                     d = dg.strip_curl(d, ci)
-                    loops += d.free_loops
-                    d = dg.LinkDiagram(d.crossings, d.signs, 0, validate=False)
-                    changed = True
                     break
-            if changed:
-                continue
-            for (ci, i, cj, j) in dg.bigon_reductions(d):
-                reduced = dg.strip_bigon(d, ci, i, cj, j)
-                if reduced is not None:
-                    loops += reduced.free_loops
-                    d = dg.LinkDiagram(reduced.crossings, reduced.signs, 0, validate=False)
-                    changed = True
-                    break
+            else:
+                for (ci, i, cj, j) in dg.bigon_reductions(d):
+                    reduced = dg.strip_bigon(d, ci, i, cj, j)
+                    if reduced is not None:
+                        d = reduced
+                        break
+                else:
+                    break                   # nothing left to strip
+        loops = d.free_loops
+        if loops:
+            d = dg.LinkDiagram(d.crossings, d.signs, 0, validate=False)
         parts = dg.connected_parts(d) if d.crossings else []
         values = [self._eval_connected(dg.subdiagram(d, part) if len(parts) > 1 else d)
                   for part in parts]

@@ -51,6 +51,15 @@ def test_invariant_json_round_trips(capsys):
         value.subs_int("s", 2).subs_int("a", 3).den.const_value() * 176
 
 
+def test_non_planar_pd_exits_2(capsys):
+    # two crossings glued into 2 faces, where a planar diagram needs 4
+    for kind, text in (("kauffman", "X[1,2,3,4];X[3,4,1,2]"),
+                       ("homfly", "X+[1,2,3,4];X+[3,4,1,2]")):
+        code, out, err = run(capsys, "invariant", kind, text)
+        assert (code, out) == (2, "")
+        assert "not planar" in err
+
+
 def test_invariant_series_truncate(capsys):
     code, out, _ = run(capsys, "invariant", "homfly", "braid:2:[1,1,1]", "--truncate", "2")
     assert code == 0

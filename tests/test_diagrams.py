@@ -38,6 +38,7 @@ from skeinpoly.errors import (
     OrientationMismatch,
     ParseError,
     PatternMissing,
+    SkeinError,
     UnknownComponent,
     Unoriented,
     ValidationError,
@@ -76,6 +77,19 @@ def test_parse_unknot_and_errors():
         parse_diagram("Y[1,2,3,4]")
     with pytest.raises(ParseError):
         parse_diagram("X+[1,1,2,2];X[3,3,4,4]")
+
+
+def test_non_planar_pd_rejected():
+    with pytest.raises(ValidationError, match="not planar"):
+        parse_diagram("X[1,2,3,4];X[3,4,1,2]")
+    glued = LinkDiagram([(1, 2, 3, 4), (3, 4, 1, 2)], (1, 1), 0)
+    # each connected part needs its own n + 2 faces
+    for d in (glued, disjoint_union(closure([1, 1, 1]), glued)):
+        with pytest.raises(ValidationError, match="not planar"):
+            diagram_from_json(diagram_to_json(d))
+    planar = disjoint_union(closure([1, 1, 1]), mirror(closure([1, -2, 1, -2], 3)))
+    assert parse_diagram(diagram_to_text(planar)) == planar
+    assert diagram_from_json(diagram_to_json(planar)) == planar
 
 
 def test_text_round_trip():
@@ -387,7 +401,7 @@ def _golden_records():
     def record(label, fn, *args):
         try:
             out = fn(*args)
-        except Exception as exc:            # errors are part of the contract
+        except SkeinError as exc:           # errors are part of the contract
             records.append(f"{label} !{type(exc).__name__}: {exc}")
             return None
         if isinstance(out, LinkDiagram):

@@ -6,6 +6,7 @@ import pytest
 from skeinpoly.dskein import (
     ConnSum,
     FramingShift,
+    ROT_T2_VECTOR,
     T3_VECTOR,
     Torus2,
     conj_integrality_check,
@@ -14,7 +15,6 @@ from skeinpoly.dskein import (
     mirror_value,
     parse_family,
     qtilde,
-    skein_vectors,
     torus_value,
     total_framing_shift,
 )
@@ -45,8 +45,7 @@ def test_i_value_one_step_each_way():
 def test_recursion_coefficients_match_t3_vector():
     # the recursion IS the printed 6-vector paired with graph closures,
     # the first entry closing to the theta-graph value 1
-    t3 = skein_vectors().t3
-    assert t3 == T3_VECTOR
+    t3 = T3_VECTOR
     for n in range(-8, 9):
         acc = t3[0] * 1 + t3[1] * i_value(n - 2) + t3[2] * i_value(n - 1) \
             + t3[3] * i_value(n) + t3[4] * i_value(n + 1) + t3[5] * i_value(n + 2)
@@ -66,7 +65,7 @@ def test_forward_backward_round_trip():
 
 
 def test_rot2_vector_entries():
-    rot2 = skein_vectors().rot2
+    rot2 = ROT_T2_VECTOR
     assert rot2[0] == LaurentPoly.const(1, ("sp", "sm")) - 2 * SP_MINUS_SM
     assert rot2[1].is_zero()
     assert rot2[5] == LaurentPoly.const(1, ("sp", "sm"))
