@@ -1097,6 +1097,8 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
             builder.link(cur0, first[0])
             builder.link(cur1, first[1])
             seed_fwd.append(cur0)
+            # an even twist leaves copy 1 a component of its own
+            seed_alt.append(cur1 if mode == "parallel" else first[1])
 
     return _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra)
 

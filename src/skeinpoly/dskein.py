@@ -90,23 +90,31 @@ def i_value(n: int) -> LaurentPoly:
 
     Runs forward for n > 2 and backward for n < -2 (the backward step
     solves for I(n-2), whose coefficient is 1, so no division occurs).
+    The memo is filled one index at a time from its edge towards n, so
+    the call depth does not grow with n; the cost grows roughly as the
+    cube of |n|, because I(n) has about n^2/4 terms with growing
+    coefficients.
     """
-    if n in _i_memo:
-        return _i_memo[n]
-    if n > 2:
-        m = n - 3                   # recursion centered so that I(m+3) = I(n)
-        acc = T3_VECTOR[0] + T3_VECTOR[1] * i_value(m - 2)
-        for k, coeff in enumerate(T3_VECTOR[2:], start=-1):
-            acc = acc + coeff * i_value(m + k)
-        value = acc
-    else:
-        m = n + 2                   # solve the recursion at center m for I(m-2) = I(n)
-        acc = i_value(m + 3) - T3_VECTOR[0]
-        for k, coeff in enumerate(T3_VECTOR[2:], start=-1):
-            acc = acc - coeff * i_value(m + k)
-        value = acc
-    _i_memo[n] = value
-    return value
+    memo = _i_memo
+    if n in memo:
+        return memo[n]
+    step = 1 if n > 2 else -1
+    start = n
+    while start - step not in memo:
+        start -= step
+    for j in range(start, n + step, step):
+        if j > 2:
+            m = j - 3               # recursion centered so that I(m+3) = I(j)
+            acc = T3_VECTOR[0] + T3_VECTOR[1] * memo[m - 2]
+            for k, coeff in enumerate(T3_VECTOR[2:], start=-1):
+                acc = acc + coeff * memo[m + k]
+        else:
+            m = j + 2               # solve the recursion at center m for I(m-2) = I(j)
+            acc = memo[m + 3] - T3_VECTOR[0]
+            for k, coeff in enumerate(T3_VECTOR[2:], start=-1):
+                acc = acc - coeff * memo[m + k]
+        memo[j] = acc
+    return memo[n]
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +128,30 @@ _torus_memo = {
 
 
 def torus_value(m: int) -> LaurentPoly:
-    """Invariant of the blackboard-framed two-strand torus closure T(2, m)."""
-    if m in _torus_memo:
-        return _torus_memo[m]
+    """Invariant of the blackboard-framed two-strand torus closure T(2, m).
+
+    Like ``i_value``, fills the memo step by step (in steps of 2, forward
+    for m > 1 and backward for m < 0) from its edge towards m.
+    """
+    memo = _torus_memo
+    if m in memo:
+        return memo[m]
     half = Fraction(1, 2)
 
     def step(j):
         unit = 1 if (j - 1) % 2 == 0 else -1
         return unit + (-1) * i_value(j - 1) - half * (i_value(j - 2) + i_value(j))
 
-    if m > 1:
-        value = torus_value(m - 2) + step(m)
-    else:
-        value = torus_value(m + 2) - step(m + 2)
-    _torus_memo[m] = value
-    return value
+    d = 2 if m > 1 else -2
+    start = m
+    while start - d not in memo:
+        start -= d
+    for j in range(start, m + d, d):
+        if d > 0:
+            memo[j] = memo[j - 2] + step(j)
+        else:
+            memo[j] = memo[j + 2] - step(j + 2)
+    return memo[m]
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,23 @@ d, h      expansion variables for truncated series (``h`` is fixed to 1)
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use on shared inputs is safe.
+
+Every ``LaurentPoly`` meets one invariant: its variables are distinct and
+in ``ALPHABET`` order, every exponent vector has one entry per variable,
+no coefficient is zero, and each coefficient is an ``int`` or a
+``Fraction`` whose denominator is not 1.  Outside input (user code,
+``const``/``var``, ``poly_from_json``) is checked once, by
+``LaurentPoly.__init__``.  The ring operations (``+``, ``-``, ``*``,
+``**`` and ``shifted``) build their results with the unchecked
+``LaurentPoly._trusted``: their operands already meet the invariant, so
+only a coefficient that is not an ``int`` is normalised.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add as _add
 
 from .errors import (
     DivisionByZero,
@@ -45,12 +56,24 @@ GCD_DEGREE_BOUND = 24
 
 
 def _norm_coeff(c):
-    """Collapse integral Fractions to int; reject non-rationals."""
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
+    """Collapse integral Fractions and bools to int; reject non-rationals."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
     raise ValidationError(f"coefficient {c!r} is not an exact rational")
+
+
+def _norm_values(terms):
+    """Collapse the integral Fractions among a term dict's values to int, in place.
+
+    For arithmetic results, whose values are all ints or Fractions.
+    """
+    for exps, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[exps] = c.numerator
 
 
 class LaurentPoly:
@@ -58,7 +81,10 @@ class LaurentPoly:
 
     ``vars`` is an ordered subset of ALPHABET; ``terms`` maps exponent
     tuples (one integer per variable, negatives allowed) to nonzero
-    coefficients.  Instances are immutable; do not mutate ``terms``.
+    coefficients, each an ``int`` or a non-integral ``Fraction``.  The
+    constructor checks and normalises its arguments; ``_trusted`` wraps
+    values that already meet this invariant (see the module docstring).
+    Instances are immutable; do not mutate ``terms``.
     """
 
     __slots__ = ("vars", "terms")
@@ -85,6 +111,19 @@ class LaurentPoly:
                 clean[exps] = c
         self.vars = variables
         self.terms = clean
+
+    @staticmethod
+    def _trusted(variables, terms):
+        """Wrap ``(variables, terms)`` as given, unchecked.
+
+        Only for results that already meet the class invariant: variables
+        in ALPHABET order, no zero coefficient, each coefficient an int or
+        a non-integral Fraction.
+        """
+        p = object.__new__(LaurentPoly)
+        p.vars = variables
+        p.terms = terms
+        return p
 
     # ---- constructors -------------------------------------------------
 
@@ -170,55 +209,70 @@ class LaurentPoly:
     # ---- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(other, self.vars)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         a, b = align(self, other)
         out = dict(a.terms)
         for exps, c in b.terms.items():
             s = out.get(exps, 0) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
+            if s:
                 out[exps] = s
-        return LaurentPoly(a.vars, out)
+            else:
+                del out[exps]
+        _norm_values(out)
+        return LaurentPoly._trusted(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(other, self.vars)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _norm_coeff(other)
             if other == 0:
-                return LaurentPoly(self.vars, {})
-            return LaurentPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+                return LaurentPoly._trusted(self.vars, {})
+            out = {e: c * other for e, c in self.terms.items()}
+            _norm_values(out)
+            return LaurentPoly._trusted(self.vars, out)
         a, b = align(self, other)
         out = {}
-        bterms = b.terms
-        for ea, ca in a.terms.items():
-            for eb, cb in bterms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LaurentPoly(a.vars, out)
+        get = out.get
+        bitems = list(b.terms.items())
+        if len(a.vars) == 2:
+            for (a0, a1), ca in a.terms.items():
+                for (b0, b1), cb in bitems:
+                    key = (a0 + b0, a1 + b1)
+                    s = get(key, 0) + ca * cb
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        else:
+            for ea, ca in a.terms.items():
+                for eb, cb in bitems:
+                    key = tuple(map(_add, ea, eb))
+                    s = get(key, 0) + ca * cb
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        _norm_values(out)
+        return LaurentPoly._trusted(a.vars, out)
 
     __rmul__ = __mul__
 
@@ -230,7 +284,7 @@ class LaurentPoly:
                 raise ValidationError("negative powers only defined for monomials")
             (exps, c), = self.terms.items()
             inv = Fraction(1) / Fraction(c)
-            return LaurentPoly(self.vars, {tuple(e * k for e in exps): _norm_coeff(inv ** (-k))})
+            return LaurentPoly._trusted(self.vars, {tuple(e * k for e in exps): _norm_coeff(inv ** (-k))})
         result = LaurentPoly.const(1, self.vars)
         base = self
         while k:
@@ -242,8 +296,12 @@ class LaurentPoly:
 
     def shifted(self, monomial_exps):
         """Multiply by the monomial with the given exponent vector."""
-        return LaurentPoly(self.vars, {tuple(e + m for e, m in zip(exps, monomial_exps)): c
-                                       for exps, c in self.terms.items()})
+        if len(monomial_exps) != len(self.vars):
+            raise ValidationError(
+                f"exponent vector {tuple(monomial_exps)} has arity {len(monomial_exps)}, "
+                f"expected {len(self.vars)}")
+        return LaurentPoly._trusted(self.vars, {tuple(map(_add, exps, monomial_exps)): c
+                                                for exps, c in self.terms.items()})
 
     def subs_int(self, name, value):
         """Substitute an exact rational value for one variable."""

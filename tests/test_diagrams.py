@@ -209,6 +209,15 @@ def test_cable_unknot_twist():
     assert len(d2.crossings) == 2 and d2.num_components() == 2
 
 
+def test_cable_free_loop_even_twist_oriented():
+    for mode, sign in (("antiparallel", -1), ("parallel", 1)):
+        d = cable2(LinkDiagram((), (), 1), {0: CablePattern.twisted(2)}, mode)
+        assert len(d.crossings) == 2 and d.num_components() == 2
+        assert d.signs == (sign, sign)
+        unoriented = cable2(LinkDiagram((), None, 1), {0: CablePattern.twisted(2)}, mode)
+        assert canonical_key(LinkDiagram(d.crossings, None, d.free_loops)) == canonical_key(unoriented)
+
+
 def test_cable_unknot_turnback():
     d = cable2(parse_diagram("O:1"), {0: CablePattern.turnback()})
     assert d.free_loops == 1 and not d.crossings
@@ -464,4 +473,4 @@ def test_constructions_golden_hash():
     records = _golden_records()
     assert len(records) == 2130
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "b21eff987faa969a216f3b46dd7e22a6bc3c968840ae996e50f33179bb89d94c"
+    assert digest == "54820c3a35820b6db4da91ce0cb402c9ec2344cbbffef977c8e62f5f5ffcdd8e"

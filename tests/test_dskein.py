@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ from skeinpoly.dskein import (
     total_framing_shift,
 )
 from skeinpoly.errors import ParseError
-from skeinpoly.rings import LaurentPoly, sigma_swap
+from skeinpoly.rings import LaurentPoly, poly_to_text, sigma_swap
 
 SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
 
@@ -139,3 +143,31 @@ def test_family_parser():
         parse_family("torus2(3) extra")
     with pytest.raises(ParseError):
         parse_family("frame(torus2(1)")
+
+
+# With the recursion limit a few dozen frames above the starting depth,
+# a recursive I(n) or T(2, m) would raise RecursionError well before
+# index 60; the iterative fill must not.  A fresh interpreter starts with
+# a cold memo.
+_SHALLOW_STACK = """
+import sys
+from skeinpoly import dskein
+from skeinpoly.rings import poly_to_text
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 30)
+for n in (60, -60):
+    print(poly_to_text(dskein.i_value(n)))
+    print(poly_to_text(dskein.torus_value(n)))
+"""
+
+
+def test_deep_indices_need_no_deep_stack():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _SHALLOW_STACK], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    expected = [poly_to_text(f(n)) for n in (60, -60) for f in (i_value, torus_value)]
+    assert out.stdout.splitlines() == expected

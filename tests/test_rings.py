@@ -288,6 +288,29 @@ def test_poly_text_canonical():
     assert poly_to_text(LaurentPoly(("z",), {(-2,): Fraction(1, 2)})) == "1/2*z^-2"
 
 
+def test_bool_coefficients_print_as_int():
+    assert poly_to_text(LaurentPoly(("s",), {(0,): True})) == "1"
+    assert poly_to_text(LaurentPoly(("s",), {(1,): True, (2,): False})) == "s"
+    assert type(LaurentPoly.const(True).const_value()) is int
+    assert poly_to_json(LaurentPoly(("s",), {(0,): True})) == poly_to_json(LaurentPoly.const(1, ("s",)))
+
+
+def test_constructor_checks_outside_input():
+    for variables, terms in [
+        (("s", "x"), {(0, 0): 1}),              # unknown variable
+        (("s", "s"), {(0, 0): 1}),              # repeated variable
+        (("s", "a"), {(0,): 1}),                # wrong arity
+        (("s",), {(0,): 0.5}),                  # not an exact rational
+        (("s",), {(0,): "1"}),
+    ]:
+        with pytest.raises(ValidationError):
+            LaurentPoly(variables, terms)
+    p = LaurentPoly(("a", "s"), {(1, 0): Fraction(4, 2), (0, 1): 0})
+    assert p.vars == ("s", "a") and p.terms == {(0, 1): 2} and type(p.terms[(0, 1)]) is int
+    with pytest.raises(ValidationError):
+        p.shifted((1,))
+
+
 def test_poly_json_round_trip():
     rng = random.Random(55)
     for _ in range(20):
