@@ -3,8 +3,8 @@
 The package is organized around seven pieces:
 
 - ``rings``     exact coefficient arithmetic (Laurent polynomials, rational
-                functions, the q-quotient ring, sp/sm polynomials, truncated
-                series) plus every specialization map,
+                functions, sp/sm polynomials, truncated series) plus every
+                specialization map,
 - ``diagrams``  planar-diagram and braid-word combinatorics, writhe and
                 linking data, framing kinks, and the two adjoint 2-cabling
                 expansions,

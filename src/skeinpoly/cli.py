@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -440,7 +441,7 @@ def _build_parser():
     return parser
 
 
-_RANGE_TOKEN = __import__("re").compile(r"^-\d+\.\.-?\d+$")
+_RANGE_TOKEN = re.compile(r"^-\d+\.\.-?\d+$")
 
 
 def main(argv=None):

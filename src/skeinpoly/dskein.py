@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .rings import LaurentPoly, sigma_swap, validate_sigma_poly
+from .rings import LaurentPoly
 
 SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
 
@@ -296,8 +296,3 @@ def conj_integrality_check(p: LaurentPoly):
         if any(e < 0 for e in exps) or Fraction(c).denominator != 1:
             witness.append((exps, c))
     return (not witness), tuple(witness)
-
-
-def mirror_value(p: LaurentPoly) -> LaurentPoly:
-    """The empirical mirror rule for the family: swap sp/sm and negate."""
-    return -sigma_swap(validate_sigma_poly(p))

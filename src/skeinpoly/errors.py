@@ -22,14 +22,6 @@ class ValidationError(SkeinError):
     """Structurally invalid diagram or polynomial data."""
 
 
-class NotSymmetric(SkeinError):
-    """Input is not invariant under the three-variable permutation action."""
-
-
-class NotInSubring(SkeinError):
-    """A symmetric element admits no polynomial expression in sp, sm."""
-
-
 class DivisionByZero(SkeinError, ZeroDivisionError):
     """A specialization or rational-function operation divided by zero."""
 

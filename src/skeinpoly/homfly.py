@@ -102,8 +102,7 @@ def framed_h(d: dg.LinkDiagram, engine: HomflyEngine | None = None) -> LaurentPo
     value = p * DELTA
     if total:
         value = value * LaurentPoly(("lam",), {(total,): 1})
-    return value.with_vars(tuple(sorted(set(value.vars) | {"v", "z", "lam"},
-                                        key=("v", "z", "lam").index)))
+    return value.with_vars(("v", "z", "lam"))
 
 
 def h_adjoint(d: dg.LinkDiagram, engine: HomflyEngine | None = None) -> LaurentPoly:

@@ -8,14 +8,16 @@ no floating-point mode anywhere.
 
 Variable names come from a fixed alphabet.  The conventional reading:
 
-====  =============================================================
-q1,q2,q3  the three quotient-ring variables, subject to q1*q2*q3 = 1
-s, a      the two Dubrovnik/Kauffman variables (``a`` is the curl unit)
-v, z      the two HOMFLY-PT variables
-lam       the framing unit of the framed HOMFLY-PT extension
-sp, sm    the symmetric combinations q1^2+q2^2+q3^2 and its inverse twin
-d, h      expansion variables for truncated series (``h`` is fixed to 1)
-====  =============================================================
+======  ===========================================================
+s, a    the two Dubrovnik/Kauffman variables (``a`` is the curl unit)
+v, z    the two HOMFLY-PT variables
+lam     the framing unit of the framed HOMFLY-PT extension
+sp, sm  the generators of Z[sp, sm], the symmetric subring of the
+        D(2,1;alpha) weight ring where the additive invariant lives
+======  ===========================================================
+
+The expansion variable d of a truncated series (``DeltaSeries``) is not
+a ring variable: it appears only in a series' printed text.
 
 All values are immutable after construction and every operation is a
 pure function, so concurrent use on shared inputs is safe.
@@ -39,8 +41,6 @@ from operator import add as _add
 
 from .errors import (
     DivisionByZero,
-    NotInSubring,
-    NotSymmetric,
     OrderTooLow,
     ParseError,
     PoleAtOne,
@@ -48,7 +48,7 @@ from .errors import (
 )
 
 #: Fixed variable alphabet; merged variable tuples always follow this order.
-ALPHABET = ("q1", "q2", "q3", "s", "a", "v", "z", "lam", "sp", "sm", "d", "h")
+ALPHABET = ("s", "a", "v", "z", "lam", "sp", "sm")
 _ALPHABET_INDEX = {name: i for i, name in enumerate(ALPHABET)}
 
 #: Total-degree cutoff above which RatFunc.normalized skips the full GCD.
@@ -775,97 +775,8 @@ def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly):
 
 
 # --------------------------------------------------------------------------
-# The three-variable quotient ring (q1*q2*q3 = 1) and the sp/sm subring.
+# The sp/sm subring and the specialization maps.
 # --------------------------------------------------------------------------
-
-def normalize_qring(p: LaurentPoly) -> LaurentPoly:
-    """Unique representative with q3 eliminated via q3 -> (q1*q2)^-1.
-
-    Input may mention q1, q2, q3; the output is a LaurentPoly in (q1, q2)
-    and the map is idempotent.
-    """
-    extra = set(p.vars) - {"q1", "q2", "q3"}
-    if extra:
-        raise ValidationError(f"normalize_qring expects variables in q1,q2,q3; got {sorted(extra)}")
-    p = p.with_vars(("q1", "q2", "q3"))
-    out = {}
-    for (e1, e2, e3), c in p.terms.items():
-        key = (e1 - e3, e2 - e3)
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return LaurentPoly(("q1", "q2"), out)
-
-
-def _qring_permute(p: LaurentPoly, perm):
-    """Apply a permutation of (q1,q2,q3) to a normalized QRing element.
-
-    ``perm`` maps source index 0,1,2 (for q1,q2,q3) to target index; the
-    result is re-normalized to the (q1, q2) form.
-    """
-    p = p.with_vars(("q1", "q2"))
-    out = {}
-    for (e1, e2), c in p.terms.items():
-        vec = [0, 0, 0]
-        vec[perm[0]] += e1
-        vec[perm[1]] += e2
-        key = (vec[0] - vec[2], vec[1] - vec[2])
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return LaurentPoly(("q1", "q2"), out)
-
-
-def is_symmetric_qring(p: LaurentPoly) -> bool:
-    """Invariance under all permutations of (q1, q2, q3)."""
-    p = normalize_qring(p) if "q3" in p.vars else p.with_vars(("q1", "q2"))
-    swap12 = _qring_permute(p, (1, 0, 2))
-    swap23 = _qring_permute(p, (0, 2, 1))
-    return swap12.terms == p.terms and swap23.terms == p.terms
-
-
-def embed_sigma(p: LaurentPoly) -> LaurentPoly:
-    """Image of a polynomial in (sp, sm) inside the quotient ring."""
-    p = p.with_vars(("sp", "sm"))
-    sp_image = LaurentPoly(("q1", "q2"), {(2, 0): 1, (0, 2): 1, (-2, -2): 1})
-    sm_image = LaurentPoly(("q1", "q2"), {(-2, 0): 1, (0, -2): 1, (2, 2): 1})
-    out = LaurentPoly(("q1", "q2"), {})
-    for (i, j), c in p.terms.items():
-        if i < 0 or j < 0:
-            raise ValidationError("sp/sm polynomials must have nonnegative exponents")
-        out = out + (sp_image ** i) * (sm_image ** j) * c
-    return out
-
-
-def express_in_sigma(p: LaurentPoly) -> LaurentPoly:
-    """Rewrite a symmetric quotient-ring element as a polynomial in sp, sm.
-
-    Raises NotSymmetric when the permutation check fails and NotInSubring
-    when no polynomial in sp, sm reproduces the element.  Round-trips with
-    embed_sigma.
-    """
-    p = normalize_qring(p) if "q3" in p.vars else p.with_vars(("q1", "q2"))
-    if not is_symmetric_qring(p):
-        raise NotSymmetric(f"{p} is not symmetric under the q-permutations")
-    residue = p
-    result = {}
-    while not residue.is_zero():
-        # leading monomial under (e1 desc, e2 desc); the image of sp^a*sm^b
-        # has unique leading monomial q1^(2a+2b) q2^(2b)
-        e1, e2 = max(residue.terms, key=lambda e: (e[0], e[1]))
-        c = residue.terms[(e1, e2)]
-        if e1 < e2 or e2 < 0 or e1 % 2 or e2 % 2:
-            raise NotInSubring(f"leading monomial q1^{e1} q2^{e2} is not reachable from sp, sm")
-        b = e2 // 2
-        a = (e1 - e2) // 2
-        result[(a, b)] = result.get((a, b), 0) + c
-        residue = residue - embed_sigma(LaurentPoly(("sp", "sm"), {(a, b): c}))
-    return LaurentPoly(("sp", "sm"), result)
-
 
 def sigma_swap(p: LaurentPoly) -> LaurentPoly:
     """Exchange sp and sm in every term; an involution."""
@@ -925,6 +836,16 @@ def specialize(p, assignment) -> RatFunc:
     return total
 
 
+def _cancel_common(num: LaurentPoly, den: LaurentPoly, lin: LaurentPoly):
+    """Divide num and den by lin for as long as both divide exactly."""
+    while True:
+        qn = exact_divide(num, lin)
+        qd = exact_divide(den, lin)
+        if qn is None or qd is None:
+            return num, den
+        num, den = qn, qd
+
+
 def exact_div_linear(p: RatFunc, var_pair=("a", "s")):
     """Divide by (a - s) exactly, reporting success.
 
@@ -940,12 +861,7 @@ def exact_div_linear(p: RatFunc, var_pair=("a", "s")):
     num = num.with_vars(merged)
     den = den.with_vars(merged)
     lin = (LaurentPoly.var(x) - LaurentPoly.var(y)).with_vars(merged)
-    while True:
-        qn = exact_divide(num, lin)
-        qd = exact_divide(den, lin)
-        if qn is None or qd is None:
-            break
-        num, den = qn, qd
+    num, den = _cancel_common(num, den, lin)
     qn = exact_divide(num, lin)
     den_on = _collapse_linear(den, x, y)
     if qn is None or den_on.is_zero():
@@ -998,15 +914,8 @@ def limit_order2_at_v1(p: RatFunc) -> RatFunc:
         num = num.with_vars(tuple(sorted(set(num.vars) | {"v"}, key=_ALPHABET_INDEX.get)))
         den = den.with_vars(num.vars)
     vminus1 = LaurentPoly(("v",), {(1,): 1, (0,): -1}).with_vars(num.vars)
-    b_num = num - den
     # cancel common (v-1) factors so a removable singularity is not fatal
-    while True:
-        qn = exact_divide(b_num, vminus1)
-        qd = exact_divide(den, vminus1)
-        if qn is not None and qd is not None:
-            b_num, den = qn, qd
-        else:
-            break
+    b_num, den = _cancel_common(num - den, den, vminus1)
     den_at_1 = den.subs_int("v", 1)
     if den_at_1.is_zero():
         raise OrderTooLow("denominator vanishes at v=1", surviving=den)
@@ -1018,13 +927,13 @@ def limit_order2_at_v1(p: RatFunc) -> RatFunc:
     if q2_ is None:
         raise OrderTooLow("(p-1) vanishes only to first order at v=1",
                           surviving=RatFunc(q1_.subs_int("v", 1), den_at_1))
-    # (p-1)/(v - 1/v)^2 = q2 * v^2 / (den * (v+1)^2); evaluate at v=1
+    # (p-1)/(v - 1/v)^2 = q2_ * v^2 / (den * (v+1)^2); evaluate at v=1
     result_num = q2_.subs_int("v", 1)
     return RatFunc(result_num, den_at_1 * 4)
 
 
 # --------------------------------------------------------------------------
-# Truncated series in the expansion variable d (with h fixed to 1).
+# Truncated series in the expansion variable d.
 # --------------------------------------------------------------------------
 
 DELTA_DEFAULT_ORDER = 3
@@ -1221,8 +1130,7 @@ def psi_series(p: LaurentPoly, order=2) -> DeltaSeries:
     """Truncated image of an sp/sm polynomial under the degeneration map.
 
     Substitutes sp -> (z^2+3) - (d/2) z^2 and sm -> (z^2+3) + (d/2) z^2,
-    computed modulo d^order (default d^2), with the series variable h set
-    to 1 throughout.
+    computed modulo d^order (default d^2).
     """
     p = validate_sigma_poly(p)
     base = LaurentPoly(("z",), {(2,): 1, (0,): 3})

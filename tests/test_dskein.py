@@ -16,7 +16,6 @@ from skeinpoly.dskein import (
     conj_integrality_check,
     family_to_text,
     i_value,
-    mirror_value,
     parse_family,
     qtilde,
     torus_value,
@@ -92,7 +91,6 @@ def test_mirror_pattern():
         assert i_value(-n) == sigma_swap(i_value(n))
         assert torus_value(-n) == -sigma_swap(torus_value(n))
     assert torus_value(-2) == torus_value(2)
-    assert mirror_value(torus_value(3)) == torus_value(-3)
 
 
 def test_qtilde_family():

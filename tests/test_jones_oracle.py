@@ -56,7 +56,7 @@ CASES = FIXED + random_braids()
 def bracket(d) -> LaurentPoly:
     """<D> in the variable ``s`` by the state sum over all smoothings."""
     edges = sorted({e for x in d.crossings for e in x})
-    slot = {e: i for i, e in enumerate(edges)}
+    index = {e: i for i, e in enumerate(edges)}
     states = Counter()                    # (a - b, loops) -> number of states
     for choice in product((0, 1), repeat=len(d.crossings)):
         parent = list(range(len(edges)))
@@ -70,7 +70,7 @@ def bracket(d) -> LaurentPoly:
         loops = len(edges)
         for x, b in zip(d.crossings, choice):
             for e, f in (((x[0], x[3]), (x[1], x[2])) if b else ((x[0], x[1]), (x[2], x[3]))):
-                r, t = find(slot[e]), find(slot[f])
+                r, t = find(index[e]), find(index[f])
                 if r != t:
                     parent[r] = t
                     loops -= 1

@@ -6,8 +6,6 @@ import pytest
 
 from skeinpoly.errors import (
     DivisionByZero,
-    NotInSubring,
-    NotSymmetric,
     OrderTooLow,
     PoleAtOne,
     ValidationError,
@@ -16,12 +14,9 @@ from skeinpoly.rings import (
     DeltaSeries,
     LaurentPoly,
     RatFunc,
-    embed_sigma,
     exact_div_linear,
     exact_divide,
-    express_in_sigma,
     limit_order2_at_v1,
-    normalize_qring,
     poly_from_json,
     poly_gcd,
     poly_to_json,
@@ -110,51 +105,8 @@ def test_poly_gcd_small():
 
 
 # ---------------------------------------------------------------------------
-# Quotient ring and the sp/sm subring
+# The sp/sm subring
 # ---------------------------------------------------------------------------
-
-def test_normalize_qring_examples():
-    q1, q2, q3 = V("q1"), V("q2"), V("q3")
-    assert normalize_qring(q1 * q2 * q3) == LaurentPoly.const(1)
-    assert normalize_qring(q3 ** 2) == (q1 ** -2) * (q2 ** -2)
-    sigma_plus = q1 ** 2 + q2 ** 2 + q3 ** 2
-    expected = q1 ** 2 + q2 ** 2 + (q1 ** -2) * (q2 ** -2)
-    assert normalize_qring(sigma_plus) == expected
-    # idempotence: feeding a normalized element back changes nothing
-    once = normalize_qring(sigma_plus)
-    assert normalize_qring(once) == once
-
-
-def test_express_in_sigma_round_trip():
-    sm = sp_sm({(0, 1): 1})
-    image = embed_sigma(sm)
-    assert image == V("q1") ** -2 + V("q2") ** -2 + (V("q1") * V("q2")) ** 2
-    assert express_in_sigma(image) == sm
-    assert express_in_sigma(LaurentPoly.const(7)) == LaurentPoly(("sp", "sm"), {(0, 0): 7})
-    with pytest.raises(NotSymmetric):
-        express_in_sigma(V("q1") ** 2)
-
-
-def test_express_in_sigma_random_round_trip():
-    rng = random.Random(99)
-    for _ in range(25):
-        terms = {}
-        for _ in range(4):
-            exps = (rng.randint(0, 3), rng.randint(0, 3))
-            c = Fraction(rng.randint(-8, 8), rng.choice([1, 2]))
-            if c:
-                terms[exps] = c
-        p = sp_sm(terms)
-        assert express_in_sigma(embed_sigma(p)) == p
-
-
-def test_express_in_sigma_not_in_subring():
-    # q1^2 q2^2 + ... is symmetric of odd shape: q1+q2+q3 normalized is
-    # symmetric but has odd exponents, hence not in the sp/sm subring.
-    p = normalize_qring(V("q1") + V("q2") + V("q3"))
-    with pytest.raises(NotInSubring):
-        express_in_sigma(p)
-
 
 def test_sigma_swap():
     p = sp_sm({(1, 0): 1, (0, 1): -1})       # sp - sm
@@ -302,7 +254,7 @@ def test_constructor_checks_outside_input():
         (("s", "a"), {(0,): 1}),                # wrong arity
         (("s",), {(0,): 0.5}),                  # not an exact rational
         (("s",), {(0,): "1"}),
-    ]:
+    ] + [((name,), {(1,): 1}) for name in ("q1", "q2", "q3", "d", "h")]:    # not in ALPHABET
         with pytest.raises(ValidationError):
             LaurentPoly(variables, terms)
     p = LaurentPoly(("a", "s"), {(1, 0): Fraction(4, 2), (0, 1): 0})
