@@ -15,7 +15,9 @@ Three subcommands:
 
 Flags: --json (every subcommand) for machine-readable output;
 --budget N for the skein node budget and --memo on|off (``invariant``
-and ``verify``, the subcommands that run skein engines); --truncate K
+and ``verify``, the subcommands that run skein engines; for ``invariant
+qtilde`` the budget counts polynomial terms, see
+``dskein.bounded_qtilde``, and its memo cannot be turned off); --truncate K
 (``invariant`` only) to print the series expansion (substituting
 v = exp(-d/2)) of a homfly-kind value instead of the value itself.  A
 subcommand rejects a flag it would ignore (exit 2), so no accepted flag
@@ -24,14 +26,14 @@ lifetime: one engine per ``invariant`` invocation, one per ``verify``
 suite.  No environment variables or config files are consulted, so
 identical invocations print identical bytes.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 node budget
-exceeded.
+Exit codes: 0 success, 2 parse/validation failure, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -95,7 +97,9 @@ def _cmd_invariant(args):
     engine_k = kauffman.KauffmanEngine(memo=memo, budget=args.budget)
     kind = args.kind
     if kind == "qtilde":
-        value = dskein.qtilde(dskein.parse_family(args.input))
+        if args.memo == "off":
+            raise ParseError("--memo applies to the skein kinds")
+        value = dskein.bounded_qtilde(dskein.parse_family(args.input), args.budget)
     else:
         d = _parse_link_input(args.input)
         if kind == "homfly":
@@ -412,6 +416,17 @@ def _cmd_verify(args):
     return EXIT_OK if failed == 0 else 1
 
 
+def _budget(text):
+    """A budget such as 5000 or 1e3: finite, not negative, rounded down."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"budget must be a finite number >= 0, not {text!r}")
+    return int(value)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="skeinpoly",
                                      description="exact skein-recursion link invariants")
@@ -435,8 +450,8 @@ def _build_parser():
     for p in (p_inv, p_ver, p_tab):
         p.add_argument("--json", action="store_true", help="machine-readable output")
     for p in (p_inv, p_ver):
-        p.add_argument("--budget", type=lambda t: int(float(t)), default=homfly.DEFAULT_BUDGET,
-                       help="skein recursion node budget")
+        p.add_argument("--budget", type=_budget, default=homfly.DEFAULT_BUDGET,
+                       help="skein recursion node budget (polynomial terms for qtilde)")
         p.add_argument("--memo", choices=("on", "off"), default="on")
     return parser
 

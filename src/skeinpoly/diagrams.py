@@ -817,7 +817,7 @@ def _encode_from(d: LinkDiagram, start_ci, start_rot, oriented, best=None):
                 a, b = ends[e]
                 oc, oslot = b if a == (ci, slot) else a
                 if oc not in rotation:
-                    rotation[oc] = 0 if oriented else oslot - (oslot & 1)
+                    rotation[oc] = start_rot if oriented else oslot - (oslot & 1)
                     queue.append(oc)
             entry.append(label)
         if oriented:
@@ -837,9 +837,12 @@ def _encode_from(d: LinkDiagram, start_ci, start_rot, oriented, best=None):
 def canonical_key(d: LinkDiagram):
     """A relabeling-invariant key: minimal breadth-first code.
 
-    Minimizes over all start crossings (and both under-slot rotations
-    when unoriented).  Disconnected diagrams are canonicalized per
-    connected part and the sorted part codes are combined.
+    Minimizes over all start crossings and both under-slot rotations.
+    An oriented code reads every crossing from the start's rotation, so
+    rotation 2 encodes the part with all its components reversed: oriented
+    keys ignore reversing all components of a part, which preserves P.
+    Disconnected diagrams are canonicalized per connected part and the
+    sorted part codes are combined.
     """
     if not d.crossings:
         return ("loops", d.free_loops)
@@ -848,10 +851,9 @@ def canonical_key(d: LinkDiagram):
     part_codes = []
     for part in parts:
         sub = subdiagram(d, part) if len(parts) > 1 else d
-        rotations = (0,) if oriented else (0, 2)
         best = None
         for ci in range(len(sub.crossings)):
-            for rot in rotations:
+            for rot in (0, 2):
                 code = _encode_from(sub, ci, rot, oriented, best)
                 if code is not None and (best is None or code < best):
                     best = code

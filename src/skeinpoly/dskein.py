@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceLimit, ValidationError
 from .rings import LaurentPoly
 
 SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
@@ -175,16 +175,6 @@ class ConnSum:
     right: object
 
 
-def total_framing_shift(link) -> int:
-    if isinstance(link, Torus2):
-        return 0
-    if isinstance(link, FramingShift):
-        return link.k + total_framing_shift(link.child)
-    if isinstance(link, ConnSum):
-        return total_framing_shift(link.left) + total_framing_shift(link.right)
-    raise ValidationError(f"not a family link: {link!r}")
-
-
 def qtilde(link) -> LaurentPoly:
     """The invariant on the supported family.
 
@@ -198,6 +188,46 @@ def qtilde(link) -> LaurentPoly:
     if isinstance(link, ConnSum):
         return qtilde(link.left) + qtilde(link.right)
     raise ValidationError(f"not a family link: {link!r}")
+
+
+def _torus_indices(link):
+    if isinstance(link, Torus2):
+        return [link.m]
+    if isinstance(link, FramingShift):
+        return _torus_indices(link.child)
+    if isinstance(link, ConnSum):
+        return _torus_indices(link.left) + _torus_indices(link.right)
+    raise ValidationError(f"not a family link: {link!r}")
+
+
+def bounded_qtilde(link, budget: int) -> LaurentPoly:
+    """``qtilde(link)``, raising ResourceLimit once its charge passes budget.
+
+    For each torus closure T(m) in link, every I(j) and T(k) on the fill
+    path from the base values towards m is charged its number of terms,
+    one index at a time, whether it is computed here or already in the
+    module memo; so the charge, and whether the budget is exceeded, does
+    not depend on earlier calls in the process.
+    """
+    spent = 0
+
+    def charge(value):
+        nonlocal spent
+        spent += len(value.terms)
+        if spent > budget:
+            raise ResourceLimit(f"term budget {budget} exceeded")
+
+    for m in _torus_indices(link):
+        if m in (0, 1):
+            continue
+        d = 1 if m > 1 else -1
+        reached = 2 * d                 # I(-2..2) are base values
+        for k in range(2 * d + m % 2, m + d, 2 * d):
+            while (k - reached) * d > 0:          # T(k) reads I up to index k
+                reached += d
+                charge(i_value(reached))
+            charge(torus_value(k))
+    return qtilde(link)
 
 
 # ---------------------------------------------------------------------------

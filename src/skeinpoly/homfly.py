@@ -8,8 +8,8 @@ The normalized invariant P(v, z) satisfies
 and is computed by the skein recursion of the ``skein`` module, branching
 into the crossing-switched diagram and the z-weighted oriented
 smoothing.  Curls and parallel bigons both preserve P, and so does the
-simultaneous reversal of all components, by which the memo keys are
-quotiented.
+simultaneous reversal of all components, which the oriented memo keys
+ignore.
 
 The framed extension H multiplies by lam^writhe and one loop factor;
 the adjoint invariant sums H over the inclusion-exclusion antiparallel
@@ -57,9 +57,6 @@ class HomflyEngine(SkeinEngine):
         if d.num_components() == 0:
             raise ValidationError("P is defined for nonempty links only")
         return self._run(d)
-
-    def _canonical_key(self, d):
-        return min(dg.canonical_key(d), dg.canonical_key(dg.reverse_all(d)))
 
     def _combine(self, loops, chirality, parts):
         # P ignores curls; each split part past the first and each loop is worth DELTA

@@ -154,9 +154,6 @@ class KauffmanEngine(SkeinEngine):
             d = dg.LinkDiagram(d.crossings, None, d.free_loops, validate=False)
         return self._run(d)
 
-    def _canonical_key(self, d):
-        return dg.canonical_key(d)
-
     def _combine(self, loops, chirality, parts):
         value = DubVal.loops(loops) if loops else DubVal.const(1)
         for part in parts:

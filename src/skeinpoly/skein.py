@@ -10,17 +10,18 @@ Before branching, every node strips curls and parallel bigons eagerly:
 the first curl by crossing index, else the first strippable bigon, then
 the search restarts.  Free loops ride through the strip loop, to which
 each strip may add, and are counted once after it; split diagrams factor
-into their connected parts, and connected parts are memoized on a
-relabeling-invariant canonical key.  The strip order decides which
-diagrams get memoized, so it is part of the engines' node counts.
+into their connected parts, and connected parts of every size are
+memoized on ``diagrams.canonical_key``, which is invariant under
+relabeling and, for oriented parts, under reversing every component.
+The strip order decides which diagrams get memoized, so it is part of
+the engines' node counts.
 
-``SkeinEngine`` holds that skeleton; a subclass supplies the relation:
-``_canonical_key(d)`` for a connected diagram of at most
-``CANONICAL_CUTOFF`` crossings, ``_combine(loops, chirality, parts)`` for
-a reduced diagram from its free loops, the summed chirality of its
-stripped curls and its connected parts' values, ``_descending(d)`` for a
-connected descending diagram, and ``_branch(d, bad)``, which applies the
-relation at crossing ``bad`` and evaluates the children through ``_eval``.
+``SkeinEngine`` holds that skeleton; a subclass supplies the relation
+through three hooks: ``_combine(loops, chirality, parts)`` for a reduced
+diagram from its free loops, the summed chirality of its stripped curls
+and its connected parts' values, ``_descending(d)`` for a connected
+descending diagram, and ``_branch(d, bad)``, which applies the relation
+at crossing ``bad`` and evaluates the children through ``_eval``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from . import diagrams as dg
 from .errors import ResourceLimit
 
 DEFAULT_BUDGET = 10 ** 8
-
-#: Diagrams with more crossings than this are memoized on their labeled form.
-CANONICAL_CUTOFF = 48
 
 
 class SkeinEngine:
@@ -73,11 +71,6 @@ class SkeinEngine:
             raise ResourceLimit(f"node budget {self.budget} exceeded",
                                 nodes=self.lifetime_nodes, memo_size=len(self.memo))
 
-    def _key(self, d):
-        if len(d.crossings) > CANONICAL_CUTOFF:
-            return d.key()
-        return self._canonical_key(d)
-
     def _eval(self, d: dg.LinkDiagram):
         self._tick()
         chirality = 0
@@ -105,7 +98,7 @@ class SkeinEngine:
         return self._combine(loops, chirality, values)
 
     def _eval_connected(self, d: dg.LinkDiagram):
-        key = self._key(d) if self.memo_enabled else None
+        key = dg.canonical_key(d) if self.memo_enabled else None
         if key is not None:
             hit = self.memo.get(key)
             if hit is not None:

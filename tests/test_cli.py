@@ -94,6 +94,40 @@ def test_budget_exit_code(capsys):
     # adjoint value take 274 + 625 + 1 nodes, each under the budget alone
     code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "700")
     assert code == 3 and "node budget 700 exceeded" in err
+    # 1e3 still means 1000 nodes
+    code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "1e3")
+    assert code == 0
+
+
+def test_budget_must_be_finite_and_not_negative(capsys):
+    for budget in ("1e400", "inf", "-inf", "nan", "-3", "ten"):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", "homfly", "O:1", f"--budget={budget}"])
+        assert exc.value.code == 2
+        assert "budget must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_qtilde_budget(capsys):
+    # the qtilde charge is the term count of every I(j) and T(k) on the fill
+    # path: I(3..5) have 3, 6 and 7 terms, T(3) and T(5) 5 and 11, so 32 in
+    # all, whether or not an earlier call already computed them
+    five = ("5 - 6*sp + 6*sm + 2*sp^2 - 6*sp*sm + 4*sm^2 + 2*sp^2*sm - 4*sp*sm^2"
+            " + 2*sm^3 - sp*sm^3 + sm^4\n")
+    for _ in range(2):
+        assert run(capsys, "invariant", "qtilde", "torus2(5)") == (0, five, "")
+        assert run(capsys, "invariant", "qtilde", "torus2(5)", "--budget", "32") == (0, five, "")
+        code, out, err = run(capsys, "invariant", "qtilde", "torus2(5)", "--budget", "31")
+        assert (code, out) == (3, "") and "term budget 31 exceeded" in err
+    # each torus closure is charged on its own: T(-1), I(-3) and T(-3) add 1 + 3 + 5
+    link = "connsum(torus2(5),torus2(-3))"
+    assert run(capsys, "invariant", "qtilde", link, "--budget", "41")[0] == 0
+    assert run(capsys, "invariant", "qtilde", link, "--budget", "40")[0] == 3
+    # cold I(n) costs about |n|^3, so torus2(3000) would run for hours; the
+    # budget stops it near n = 100
+    code, _, err = run(capsys, "invariant", "qtilde", "torus2(3000)", "--budget", "100000")
+    assert code == 3 and "term budget 100000 exceeded" in err
+    code, out, err = run(capsys, "invariant", "qtilde", "torus2(5)", "--memo", "off")
+    assert (code, out) == (2, "") and "--memo applies to the skein kinds" in err
 
 
 def test_table(capsys):

@@ -345,6 +345,15 @@ def test_canonical_key_invariance():
         assert canonical_key(d) == canonical_key(reordered)
 
 
+def test_canonical_key_ignores_reversal():
+    # reversing every component of a part preserves P, so oriented keys
+    # identify the two orientations
+    rng = random.Random(7)
+    for _ in range(40):
+        d = braid_closure(rand_braid(rng, max_strands=5, max_len=14))
+        assert canonical_key(reverse_all(d)) == canonical_key(d)
+
+
 def test_canonical_key_distinguishes_mirror():
     t = closure([1, 1, 1])
     assert canonical_key(t) != canonical_key(mirror(t))

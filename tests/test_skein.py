@@ -15,8 +15,9 @@ from skeinpoly.diagrams import (
     kauffman_adjoint_expansion,
 )
 from skeinpoly.errors import ResourceLimit
-from skeinpoly.homfly import HomflyEngine, framed_h
+from skeinpoly.homfly import DELTA, HomflyEngine, framed_h
 from skeinpoly.kauffman import KauffmanEngine, k_adjoint
+from skeinpoly.rings import LaurentPoly
 
 
 def closure(word, strands=2):
@@ -53,3 +54,21 @@ def test_budget_bounds_the_engine_lifetime():
     with pytest.raises(ResourceLimit) as exc:
         k_adjoint(closure([1, 1, 1]), engine)
     assert exc.value.nodes == 900
+
+
+def test_large_diagrams_key_canonically():
+    # the 61-crossing closure of T(2, 61): every diagram the recursion meets
+    # is an isomorphic copy of some T(2, n), so the memo holds one entry per n
+    d = closure([1] * 61)
+    engine = HomflyEngine()
+    value = engine.p(d)
+    # P(L+) = v^2 P(L-) + v z P(L0) on T(2, n), T(2, n - 2) and T(2, n - 1)
+    v2, vz = LaurentPoly(("v", "z"), {(2, 0): 1}), LaurentPoly(("v", "z"), {(1, 1): 1})
+    p = [DELTA, LaurentPoly.const(1, ("v", "z"))]
+    for _ in range(2, 62):
+        p.append(v2 * p[-2] + vz * p[-1])
+    assert value == p[61]
+    assert (engine.nodes, len(engine.memo)) == (121, 60)
+    engine = KauffmanEngine()
+    engine.value(d)
+    assert (engine.nodes, len(engine.memo)) == (181, 60)
