@@ -12,6 +12,7 @@ from skeinpoly.diagrams import (
     braid_closure,
     cable2,
     canonical_key,
+    connected_parts,
     connected_sum,
     curl_sign,
     delete_components,
@@ -19,6 +20,7 @@ from skeinpoly.diagrams import (
     diagram_to_json,
     diagram_to_text,
     disjoint_union,
+    faces,
     first_bad_crossing,
     homfly_adjoint_expansion,
     kauffman_adjoint_expansion,
@@ -483,3 +485,30 @@ def test_constructions_golden_hash():
     assert len(records) == 2130
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "54820c3a35820b6db4da91ce0cb402c9ec2344cbbffef977c8e62f5f5ffcdd8e"
+
+
+def _walk_records():
+    records = []
+    patterns = [CablePattern.parallel2(), CablePattern.twisted(1), CablePattern.twisted(-1),
+                CablePattern.twisted(2), CablePattern.turnback()]
+    for d in _golden_ladder():
+        diagrams = [d]
+        for mode in ("antiparallel", "parallel"):
+            for pat in patterns:
+                pats = {i: pat for i in range(d.num_components())}
+                diagrams.append(cable2(d, pats, mode))
+        for c in diagrams:
+            records.append(" ".join(repr(out) for out in (
+                diagram_to_text(c), c.edge_components(), faces(c), connected_parts(c),
+                self_writhes(c), canonical_key(c), first_bad_crossing(c),
+                *(first_bad_crossing(c, random.Random(k)) for k in range(3)))))
+    return records
+
+
+def test_walks_golden_hash():
+    # one digest over every strand and face walk on the ladder and its
+    # cables, so a rewrite of the walkers that changes any order shows here
+    records = _walk_records()
+    assert len(records) == 308
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "e092d0286f5662eb2f42ac78dcd6c0857f6eceef46ca7c1741a4019d1f4c3aeb"
