@@ -18,8 +18,9 @@ Flags: --json (every subcommand) for machine-readable output;
 and ``verify``, the subcommands that run skein engines; for ``invariant
 qtilde`` the budget counts polynomial terms, see
 ``dskein.bounded_qtilde``, and its memo cannot be turned off); --truncate K
-(``invariant`` only) to print the series expansion (substituting
-v = exp(-d/2)) of a homfly-kind value instead of the value itself.  A
+(``invariant`` of a homfly kind only, K >= 1) to print the series
+expansion (substituting v = exp(-d/2)) of the value instead of the value
+itself; a bad K or kind exits 2 before anything is evaluated.  A
 subcommand rejects a flag it would ignore (exit 2), so no accepted flag
 is silently without effect.  The budget counts nodes over an engine's
 lifetime: one engine per ``invariant`` invocation, one per ``verify``
@@ -92,10 +93,12 @@ def _parse_link_input(text):
 
 
 def _cmd_invariant(args):
+    kind = args.kind
+    if args.truncate is not None and kind not in ("homfly", "homfly-ad"):
+        raise ParseError("--truncate applies to the homfly kinds only")
     memo = args.memo == "on"
     engine_h = homfly.HomflyEngine(memo=memo, budget=args.budget)
     engine_k = kauffman.KauffmanEngine(memo=memo, budget=args.budget)
-    kind = args.kind
     if kind == "qtilde":
         if args.memo == "off":
             raise ParseError("--memo applies to the skein kinds")
@@ -115,8 +118,6 @@ def _cmd_invariant(args):
         else:
             raise ParseError(f"unknown invariant kind {kind!r}")
     if args.truncate is not None:
-        if kind not in ("homfly", "homfly-ad"):
-            raise ParseError("--truncate applies to the homfly kinds only")
         value = series_exp_v(RatFunc(value), args.truncate)
     if args.json:
         blob = {"format": VALUE_JSON_FORMAT, "kind": kind, "input": args.input}
@@ -427,6 +428,17 @@ def _budget(text):
     return int(value)
 
 
+def _order(text):
+    """A series truncation order: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"series order must be an integer >= 1, not {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="skeinpoly",
                                      description="exact skein-recursion link invariants")
@@ -436,7 +448,7 @@ def _build_parser():
     p_inv.add_argument("kind", choices=("homfly", "homfly-ad", "kauffman",
                                         "kauffman-ad", "qtilde", "v2"))
     p_inv.add_argument("input", help="diagram, braid, or link-family text")
-    p_inv.add_argument("--truncate", type=int, default=None,
+    p_inv.add_argument("--truncate", type=_order, default=None,
                        help="print the series expansion to this order instead")
 
     p_ver = sub.add_parser("verify", help="run acceptance checks")

@@ -12,6 +12,12 @@ With both strands of a braid generator pointing downward this makes the
 positive generator a writhe +1 crossing, so the closure of the word
 [1, 1, 1] on two strands is the writhe +3 trefoil.
 
+Every walk over a diagram reads one flat array.  Dart ``4*ci + slot``
+names one end of an edge, and ``LinkDiagram.opp()[t]`` is the dart at
+the other end of dart t's edge.  A strand arriving at dart t leaves by
+dart ``t ^ 2`` (the opposite slot); the face after dart t starts at
+``opp[t]`` turned one slot counterclockwise (slot + 1 mod 4).
+
 Crossingless circles ("free loops") are stored as a bare count.  The
 constructor validates only combinatorial well-formedness.  PD text and
 JSON input (``parse_diagram``, ``diagram_from_json``) are also checked
@@ -51,14 +57,14 @@ class LinkDiagram:
     counts crossingless circles.
     """
 
-    __slots__ = ("crossings", "signs", "free_loops", "_ends", "_components")
+    __slots__ = ("crossings", "signs", "free_loops", "_opp", "_strands")
 
     def __init__(self, crossings, signs=None, free_loops=0, validate=True):
         self.crossings = tuple(tuple(int(e) for e in x) for x in crossings)
         self.signs = None if signs is None else tuple(int(s) for s in signs)
         self.free_loops = int(free_loops)
-        self._ends = None
-        self._components = None
+        self._opp = None
+        self._strands = None
         if validate:
             self._validate()
 
@@ -101,18 +107,44 @@ class LinkDiagram:
     def oriented(self):
         return self.signs is not None
 
-    def ends(self):
-        """Map edge -> ((crossing, slot), (crossing, slot)) in scan order."""
-        if self._ends is None:
-            ends = {}
-            for ci, x in enumerate(self.crossings):
-                for slot, e in enumerate(x):
-                    ends.setdefault(e, []).append((ci, slot))
-            self._ends = {e: tuple(v) for e, v in ends.items()}
-        return self._ends
+    def opp(self):
+        """Dart ``4*ci + slot`` -> the dart at the other end of its edge."""
+        if self._opp is None:
+            opp = [0] * (4 * len(self.crossings))
+            first = {}
+            for t, e in enumerate(e for x in self.crossings for e in x):
+                u = first.setdefault(e, t)
+                opp[t] = u
+                opp[u] = t
+            self._opp = opp
+        return self._opp
+
+    def strands(self):
+        """Per component, the dart each of its edges leaves from, in walk order.
+
+        Components come in order of their smallest edge id, each walked
+        from the first dart of that edge in scan order.
+        """
+        if self._strands is None:
+            opp = self.opp()
+            edge = [e for x in self.crossings for e in x]
+            seen = [False] * len(edge)
+            walks = []
+            for t0 in sorted((t for t, u in enumerate(opp) if t < u), key=edge.__getitem__):
+                if seen[t0]:
+                    continue
+                walk = []
+                t = t0
+                while not seen[t]:
+                    seen[t] = seen[opp[t]] = True
+                    walk.append(t)
+                    t = opp[t] ^ 2
+                walks.append(tuple(walk))
+            self._strands = walks
+        return self._strands
 
     def edges(self):
-        return sorted(self.ends())
+        return sorted({e for x in self.crossings for e in x})
 
     def in_slots(self, ci):
         """The two incoming slots of an oriented crossing."""
@@ -120,34 +152,12 @@ class LinkDiagram:
             raise Unoriented("diagram carries no orientation")
         return (0, 3) if self.signs[ci] == 1 else (0, 1)
 
-    def other_end(self, e, ci, slot):
-        a, b = self.ends()[e]
-        return b if a == (ci, slot) else a
-
     def edge_components(self):
         """Edge components in traversal order, sorted by smallest edge id."""
-        if self._components is None:
-            ends = self.ends()
-            seen = set()
-            comps = []
-            for e0 in sorted(ends):
-                if e0 in seen:
-                    continue
-                comp = []
-                e, (ci, slot) = e0, ends[e0][0]
-                while e not in seen:
-                    seen.add(e)
-                    comp.append(e)
-                    ci, slot = self.other_end(e, ci, slot)
-                    out = (slot + 2) % 4
-                    e = self.crossings[ci][out]
-                    slot = out
-                comps.append(tuple(comp))
-            self._components = comps
-        return self._components
+        return [tuple(self.crossings[t >> 2][t & 3] for t in walk) for walk in self.strands()]
 
     def num_components(self):
-        return len(self.edge_components()) + self.free_loops
+        return len(self.strands()) + self.free_loops
 
     def key(self):
         return (self.crossings, self.signs, self.free_loops)
@@ -388,35 +398,31 @@ def writhe_data(d: LinkDiagram):
 
 
 def _flow_heads(d: LinkDiagram):
-    """Edge -> head end, walking each component once (any diagram)."""
+    """Per dart, whether it is the head end of its edge (any diagram).
+
+    An unoriented diagram flows against ``strands()``: the dart each
+    edge leaves from in that walk is its head.
+    """
+    head = [False] * (4 * len(d.crossings))
     if d.signs is not None:
-        head = {}
-        for ci, x in enumerate(d.crossings):
+        for ci in range(len(d.crossings)):
             for slot in d.in_slots(ci):
-                head[x[slot]] = (ci, slot)
-        return head
-    ends = d.ends()
-    head = {}
-    for comp in d.edge_components():
-        e0 = comp[0]
-        e, (ci, slot) = e0, ends[e0][0]
-        while e not in head:
-            head[e] = (ci, slot)
-            ci, slot = d.other_end(e, ci, slot)
-            out = (slot + 2) % 4
-            e = d.crossings[ci][out]
-            slot = out
+                head[4 * ci + slot] = True
+    else:
+        for walk in d.strands():
+            for t in walk:
+                head[t] = True
     return head
 
 
 def _normalized(x, ci, head):
     """Crossing ci rotated so its incoming under-strand sits at slot 0, and its sign.
 
-    ``head`` maps edges to their head ends; None when a strand of the
-    crossing has no head end at ci.
+    ``head`` flags the head end of every edge by dart; None when a strand
+    of the crossing has no head end at ci.
     """
-    under_in = next((s for s in (0, 2) if head.get(x[s]) == (ci, s)), None)
-    over_in = next((s for s in (1, 3) if head.get(x[s]) == (ci, s)), None)
+    under_in = next((s for s in (0, 2) if head[4 * ci + s]), None)
+    over_in = next((s for s in (1, 3) if head[4 * ci + s]), None)
     if under_in is None or over_in is None:
         return None
     return x[under_in:] + x[:under_in], (1 if (over_in - under_in) % 4 == 3 else -1)
@@ -543,25 +549,23 @@ def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(crossings, signs, d1.free_loops + d2.free_loops, validate=False)
 
 
-def _component_edge(d: LinkDiagram, comp_index):
-    comps = d.edge_components()
-    n = len(comps) + d.free_loops
+def _component_darts(d: LinkDiagram, comp_index):
+    """(tail, head) darts of a component's smallest edge; None for a free loop.
+
+    The edge flows along the orientation when there is one, else away
+    from its first dart in scan order.
+    """
+    walks = d.strands()
+    n = len(walks) + d.free_loops
     if not 0 <= comp_index < n:
         raise UnknownComponent(f"component {comp_index} of {n}")
-    if comp_index >= len(comps):
-        return None          # a free loop
-    return min(comps[comp_index])
-
-
-def _edge_head_tail(d: LinkDiagram, e):
-    """(tail end, head end) of an edge; orientation-aware when present."""
-    p, q = d.ends()[e]
-    if d.signs is None:
-        return p, q
-    ci, slot = p
-    if slot in d.in_slots(ci):
-        return q, p
-    return p, q
+    if comp_index >= len(walks):
+        return None
+    t = walks[comp_index][0]
+    u = d.opp()[t]
+    if d.signs is not None and (t & 3) in d.in_slots(t >> 2):
+        return u, t
+    return t, u
 
 
 def connected_sum(d1: LinkDiagram, c1, d2: LinkDiagram, c2) -> LinkDiagram:
@@ -573,31 +577,28 @@ def connected_sum(d1: LinkDiagram, c1, d2: LinkDiagram, c2) -> LinkDiagram:
     """
     if (d1.signs is None) != (d2.signs is None):
         raise OrientationMismatch("cannot sum an oriented with an unoriented diagram")
-    e1 = _component_edge(d1, c1)
-    e2 = _component_edge(d2, c2)
-    if e2 is None:
+    ends1 = _component_darts(d1, c1)
+    ends2 = _component_darts(d2, c2)
+    if ends2 is None:
         trimmed = LinkDiagram(d2.crossings, d2.signs, d2.free_loops - 1, validate=False)
         return disjoint_union(d1, trimmed)
-    if e1 is None:
+    if ends1 is None:
         trimmed = LinkDiagram(d1.crossings, d1.signs, d1.free_loops - 1, validate=False)
         return disjoint_union(trimmed, d2)
     union = disjoint_union(d1, d2)
-    shift = max([e for x in d1.crossings for e in x], default=-1) + 1
-    e2 += shift
-    tail1, head1 = _edge_head_tail(union, e1)
-    tail2, head2 = _edge_head_tail(union, e2)
+    tail1, head1 = ends1
+    tail2, head2 = (t + 4 * len(d1.crossings) for t in ends2)     # d2's darts in union
     fresh = max(union.edges(), default=-1) + 1
-    crossings = [list(x) for x in union.crossings]
-    crossings[tail1[0]][tail1[1]] = fresh       # tail1 -> head2
-    crossings[head2[0]][head2[1]] = fresh
-    crossings[tail2[0]][tail2[1]] = fresh + 1   # tail2 -> head1
-    crossings[head1[0]][head1[1]] = fresh + 1
+    darts = [e for x in union.crossings for e in x]
+    darts[tail1] = darts[head2] = fresh             # tail1 -> head2
+    darts[tail2] = darts[head1] = fresh + 1         # tail2 -> head1
+    crossings = [darts[t:t + 4] for t in range(0, len(darts), 4)]
     return _relabel_dense(LinkDiagram(crossings, union.signs, union.free_loops))
 
 
 def add_kinks(d: LinkDiagram, comp_index, k) -> LinkDiagram:
     """Insert |k| curls of sign k on one component (changing its framing by k)."""
-    e = _component_edge(d, comp_index)
+    ends = _component_darts(d, comp_index)
     if k == 0:
         return d
     count, sign = abs(k), (1 if k > 0 else -1)
@@ -617,7 +618,7 @@ def add_kinks(d: LinkDiagram, comp_index, k) -> LinkDiagram:
             signs.append(sign)
 
     loops = d.free_loops
-    if e is None:
+    if ends is None:
         # a free loop gains curls: build the closed chain directly
         loops -= 1
         mains = [fresh + i for i in range(count)]
@@ -625,10 +626,10 @@ def add_kinks(d: LinkDiagram, comp_index, k) -> LinkDiagram:
         for i in range(count):
             curl(mains[i], mains[(i + 1) % count])
     else:
-        tail, head = _edge_head_tail(d, e)
-        mains = [e] + [fresh + i for i in range(count)]
+        ci, slot = divmod(ends[1], 4)
+        mains = [crossings[ci][slot]] + [fresh + i for i in range(count)]
         fresh += count
-        crossings[head[0]][head[1]] = mains[-1]
+        crossings[ci][slot] = mains[-1]
         for i in range(count):
             curl(mains[i], mains[i + 1])
     return _relabel_dense(LinkDiagram(crossings, signs, loops))
@@ -644,21 +645,20 @@ def faces(d: LinkDiagram):
     Monogon faces (length 1) are curls; bigon faces (length 2 on two
     distinct crossings) are candidates for parallel-strand cancellation.
     """
+    opp = d.opp()
+    seen = [False] * len(opp)
     out = []
-    seen = set()
-    for ci in range(len(d.crossings)):
-        for slot in range(4):
-            dart = (ci, slot)
-            if dart in seen:
-                continue
-            face = []
-            cur = dart
-            while cur not in seen:
-                seen.add(cur)
-                face.append(cur)
-                oc, oslot = d.other_end(d.crossings[cur[0]][cur[1]], *cur)
-                cur = (oc, (oslot + 1) % 4)
-            out.append(tuple(face))
+    for t0 in range(len(opp)):
+        if seen[t0]:
+            continue
+        face = []
+        t = t0
+        while not seen[t]:
+            seen[t] = True
+            face.append(divmod(t, 4))
+            u = opp[t]
+            t = u + 1 if u & 3 != 3 else u - 3
+        out.append(tuple(face))
     return out
 
 
@@ -734,27 +734,25 @@ def first_bad_crossing(d: LinkDiagram, rng=None):
     descending.  ``rng`` (a random.Random) shuffles component order,
     base edges, and free directions, for invariance testing.
     """
-    comps = list(d.edge_components())
+    opp = d.opp()
+    walks = list(d.strands())
     if rng is not None:
-        rng.shuffle(comps)
+        rng.shuffle(walks)
     visited = set()
-    for comp in comps:
-        start = min(comp) if rng is None else rng.choice(list(comp))
-        e = start
-        p, q = d.ends()[e]
+    for walk in walks:
+        t = walk[0] if rng is None else rng.choice(walk)
+        p, q = sorted((t, opp[t]))
         if d.signs is not None:
-            arrival = p if p[1] in d.in_slots(p[0]) else q
+            arrival = p if (p & 3) in d.in_slots(p >> 2) else q
         else:
-            arrival = min(p, q) if rng is None or rng.random() < 0.5 else max(p, q)
-        for _ in range(len(comp)):
-            ci, slot = arrival
+            arrival = p if rng is None or rng.random() < 0.5 else q
+        for _ in range(len(walk)):
+            ci = arrival >> 2
             if ci not in visited:
-                if slot % 2 == 0:
+                if not arrival & 1:
                     return ci
                 visited.add(ci)
-            out = (slot + 2) % 4
-            e = d.crossings[ci][out]
-            arrival = d.other_end(e, ci, out)
+            arrival = opp[arrival ^ 2]
     return None
 
 
@@ -772,10 +770,11 @@ def connected_parts(d: LinkDiagram):
             i = parent[i]
         return i
 
-    for p, q in d.ends().values():
-        a, b = find(p[0]), find(q[0])
-        if a != b:
-            parent[a] = b
+    for t, u in enumerate(d.opp()):
+        if t < u:
+            a, b = find(t >> 2), find(u >> 2)
+            if a != b:
+                parent[a] = b
     groups = {}
     for i in range(len(d.crossings)):
         groups.setdefault(find(i), []).append(i)
@@ -799,7 +798,7 @@ def _encode_from(d: LinkDiagram, start_ci, start_rot, oriented, best=None):
     queue = [start_ci]
     labels = {}
     code = []
-    ends = d.ends()
+    opp = d.opp()
     crossings = d.crossings
     signs = d.signs
     qi = 0
@@ -814,10 +813,10 @@ def _encode_from(d: LinkDiagram, start_ci, start_rot, oriented, best=None):
             label = labels.get(e)
             if label is None:
                 label = labels[e] = len(labels)
-                a, b = ends[e]
-                oc, oslot = b if a == (ci, slot) else a
+                u = opp[4 * ci + slot]
+                oc = u >> 2
                 if oc not in rotation:
-                    rotation[oc] = start_rot if oriented else oslot - (oslot & 1)
+                    rotation[oc] = start_rot if oriented else u & 2
                     queue.append(oc)
             entry.append(label)
         if oriented:
@@ -941,19 +940,17 @@ def _orient_arbitrarily(d: LinkDiagram) -> LinkDiagram:
 
 
 class _CableBuilder:
-    """New crossings whose slots are abstract ports, plus port links."""
+    """New crossings plus port links; port ``4*ci + slot`` is the cable's dart."""
 
-    __slots__ = ("crossings", "links", "ports")
+    __slots__ = ("links", "ports")
 
     def __init__(self):
-        self.crossings = []
         self.links = []
         self.ports = 0
 
     def new_crossing(self):
         base = self.ports
         self.ports += 4
-        self.crossings.append((base, base + 1, base + 2, base + 3))
         return base
 
     def link(self, p, q):
@@ -976,8 +973,7 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
     """
     if mode not in ("antiparallel", "parallel"):
         raise ValidationError(f"unknown cable mode {mode!r}")
-    comps = d.edge_components()
-    total = len(comps) + d.free_loops
+    total = d.num_components()
     for idx in range(total):
         if idx not in patterns:
             raise PatternMissing(f"component {idx} has no cable pattern")
@@ -991,8 +987,7 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
 
     oriented_out = d.signs is not None
     work = d if oriented_out else _orient_arbitrarily(d)
-    comps = work.edge_components()
-    ends = work.ends()
+    opp, walks = work.opp(), work.strands()
     head = _flow_heads(work)
 
     builder = _CableBuilder()
@@ -1010,8 +1005,9 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
             builder.link(g[("W", row)] + 1, g[("E", row)] + 3)
         grid.append(g)
 
-    def stub(ci, slot, copy):
-        """Port where copy 0/1 of the edge at (ci, slot) attaches."""
+    def stub(t, copy):
+        """Port where copy 0/1 of the edge at dart t attaches."""
+        ci, slot = divmod(t, 4)
         g = grid[ci]
         if slot in (0, 2):
             col = "W" if copy == 0 else "E"
@@ -1022,45 +1018,43 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
             row = "S" if copy == 0 else "N"
         return g[("W", row)] + 3 if slot == 3 else g[("E", row)] + 1
 
-    seed_fwd = []                    # ports out of which a copy-0 edge flows
-    seed_alt = []                    # (tail port under mode rule) for copy-1-only strands
+    seed_fwd = []                    # tail ports whose walks orient the cable first
+    seed_alt = []                    # tail ports under the mode rule, for strands left over
 
-    def add_twist_chain(t0, t1, h0, h1, twist):
+    def twist_chain(twist):
+        """((copy 0, copy 1) in ports, (copy 0, copy 1) out ports) of |twist| crossings."""
         # copy 0 is the strand's traveler-left, which is the viewer-RIGHT
         # column of a downward-drawn chain; attaching it to the viewer-left
         # ports would store a counterclockwise tuple for a mirrored picture
         # and silently build a non-planar code
-        cur0, cur1 = t0, t1
+        ins = outs = None
         for _ in range(abs(twist)):
             base = builder.new_crossing()
             if twist > 0:
                 # provisional CCW (TL, BL, BR, TR); under TL -> BR
-                builder.link(cur1, base + 0)
-                builder.link(cur0, base + 3)
-                cur0, cur1 = base + 2, base + 1
+                i, o = (base + 3, base + 0), (base + 2, base + 1)
             else:
                 # provisional CCW (TR, TL, BL, BR); under TR -> BL
-                builder.link(cur1, base + 1)
-                builder.link(cur0, base + 0)
-                cur0, cur1 = base + 3, base + 2
-        builder.link(cur0, h0)
-        builder.link(cur1, h1)
+                i, o = (base + 0, base + 1), (base + 3, base + 2)
+            if outs is None:
+                ins = i
+            else:
+                builder.link(outs[0], i[0])
+                builder.link(outs[1], i[1])
+            outs = o
+        return ins, outs
 
-    for comp_idx, comp in enumerate(comps):
+    for comp_idx, (walk, comp) in enumerate(zip(walks, work.edge_components())):
         pat = patterns[comp_idx]
-        ins_edge = min(comp)
+        ins_edge = comp[0]
         if insertion_edges and comp_idx in insertion_edges:
             ins_edge = insertion_edges[comp_idx]
             if ins_edge not in comp:
                 raise UnknownComponent(f"edge {ins_edge} is not on component {comp_idx}")
-        for e in comp:
-            p, q = ends[e]
-            head_end = head[e]
-            tail_end = q if head_end == p else p
-            t0 = stub(*tail_end, 0)
-            t1 = stub(*tail_end, 1)
-            h0 = stub(*head_end, 0)
-            h1 = stub(*head_end, 1)
+        for t, e in zip(walk, comp):
+            h = t if head[t] else opp[t]
+            t0, t1 = stub(opp[h], 0), stub(opp[h], 1)
+            h0, h1 = stub(h, 0), stub(h, 1)
             if e != ins_edge or pat.kind == CablePattern.PARALLEL:
                 builder.link(t0, h0)
                 builder.link(t1, h1)
@@ -1071,79 +1065,50 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
                 builder.link(h0, h1)
                 seed_fwd.append(t0)
             else:
-                add_twist_chain(t0, t1, h0, h1, pat.twist)
+                (i0, i1), (o0, o1) = twist_chain(pat.twist)
+                for a, b in ((t0, i0), (t1, i1), (o0, h0), (o1, h1)):
+                    builder.link(a, b)
                 seed_fwd.append(t0)
 
     # free-loop components
-    for idx in range(len(comps), total):
+    for idx in range(len(walks), total):
         pat = patterns[idx]
         if pat.kind == CablePattern.PARALLEL:
             loops_extra += 2
         elif pat.kind == CablePattern.TURNBACK:
             loops_extra += 1
         else:
-            first = None
-            cur0 = cur1 = None
-            for _ in range(abs(pat.twist)):
-                base = builder.new_crossing()
-                if pat.twist > 0:
-                    ports_in, ports_out = (base + 0, base + 3), (base + 1, base + 2)
-                else:
-                    ports_in, ports_out = (base + 1, base + 0), (base + 2, base + 3)
-                if first is None:
-                    first = ports_in
-                else:
-                    builder.link(cur0, ports_in[0])
-                    builder.link(cur1, ports_in[1])
-                cur0, cur1 = ports_out
-            builder.link(cur0, first[0])
-            builder.link(cur1, first[1])
-            seed_fwd.append(cur0)
-            # an even twist leaves copy 1 a component of its own
-            seed_alt.append(cur1 if mode == "parallel" else first[1])
+            (i0, i1), (o0, o1) = twist_chain(pat.twist)
+            builder.link(o0, i0)
+            builder.link(o1, i1)
+            seed_fwd.append(o1)
+            # an even twist leaves copy 0 a component of its own
+            seed_alt.append(o0 if mode == "parallel" else i0)
 
     return _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra)
 
 
 def _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra):
-    """Resolve ports into edges, propagate orientation, fix slot rotations."""
-    port_edge = {}
-    edge_other = {}
+    """Resolve ports into edges, propagate orientation, fix slot rotations.
+
+    Each seed is a tail port; the walk from it flags head darts until it
+    meets an edge that already has one.
+    """
+    edge = [0] * builder.ports
     for eid, (a, b) in enumerate(builder.links):
-        port_edge[a] = eid
-        port_edge[b] = eid
-        edge_other[a] = b
-        edge_other[b] = a
-    crossings = [tuple(port_edge[p] for p in ports) for ports in builder.crossings]
+        edge[a] = edge[b] = eid
+    cable = LinkDiagram([edge[t:t + 4] for t in range(0, builder.ports, 4)], None,
+                        loops_extra, validate=False)
     if not oriented_out:
-        return _relabel_dense(LinkDiagram(crossings, None, loops_extra, validate=False))
-
-    port_pos = {}
-    for ci, ports in enumerate(builder.crossings):
-        for slot, p in enumerate(ports):
-            port_pos[p] = (ci, slot)
-    port_of = {port_pos[p]: p for p in port_pos}
-
-    head_of = {}
-
-    def walk_from(tail_port):
-        hp = edge_other[tail_port]
-        e = port_edge[tail_port]
-        while e not in head_of:
-            head_of[e] = port_pos[hp]
-            ci, slot = port_pos[hp]
-            out_port = port_of[(ci, (slot + 2) % 4)]
-            e = port_edge[out_port]
-            hp = edge_other[out_port]
-
-    for p in seed_fwd:
-        if port_edge[p] not in head_of:
-            walk_from(p)
-    for p in seed_alt:
-        if port_edge[p] not in head_of:
-            walk_from(p)
-
-    normal = [_normalized(x, ci, head_of) for ci, x in enumerate(crossings)]
+        return _relabel_dense(cable)
+    opp = cable.opp()
+    head = [False] * builder.ports
+    for t in seed_fwd + seed_alt:
+        while not (head[t] or head[opp[t]]):
+            t = opp[t]
+            head[t] = True
+            t ^= 2
+    normal = [_normalized(x, ci, head) for ci, x in enumerate(cable.crossings)]
     if None in normal:
         raise ValidationError("cable orientation propagation failed")
     return _relabel_dense(LinkDiagram([x for x, _ in normal], [s for _, s in normal],

@@ -68,6 +68,22 @@ def test_invariant_series_truncate(capsys):
     assert code == 2
 
 
+def test_truncate_checked_before_evaluating(capsys):
+    # a one-node budget would end any evaluation with exit 3, so exit 2 here
+    # shows that the flag is refused before an engine runs
+    for kind, text in (("kauffman", "braid:2:[1,1,1]"), ("kauffman-ad", "braid:3:[1,1,1,2]"),
+                       ("v2", "braid:2:[1,1,1]"), ("qtilde", "torus2(3000)")):
+        code, out, err = run(capsys, "invariant", kind, text, "--truncate", "2", "--budget", "1")
+        assert (code, out) == (2, "") and "--truncate applies to the homfly kinds only" in err
+    for order in ("0", "-1", "two", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", "homfly", "braid:2:[1,1,1]", f"--truncate={order}", "--budget", "1"])
+        assert exc.value.code == 2
+        assert "series order must be an integer >= 1" in capsys.readouterr().err
+    code, out, _ = run(capsys, "invariant", "homfly", "braid:2:[1,1,1]", "--truncate", "1")
+    assert code == 0 and out.strip().endswith("O(d^1)")
+
+
 def test_series_json_round_trips(capsys):
     code, out, _ = run(capsys, "invariant", "homfly", "braid:2:[1,1,1]", "--truncate", "3",
                        "--json")
