@@ -512,3 +512,171 @@ def test_walks_golden_hash():
     assert len(records) == 308
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "e092d0286f5662eb2f42ac78dcd6c0857f6eceef46ca7c1741a4019d1f4c3aeb"
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the key encoder and the strip order, each written out here
+# ---------------------------------------------------------------------------
+
+def _ref_opp(d):
+    """Dart ``4*ci + slot`` -> the other dart of its edge, from edge ids."""
+    darts = {}
+    for t, e in enumerate(e for x in d.crossings for e in x):
+        darts.setdefault(e, []).append(t)
+    opp = [0] * (4 * len(d.crossings))
+    for t, u in darts.values():
+        opp[t], opp[u] = u, t
+    return opp
+
+
+def _ref_code(d, opp, start, rot0):
+    """The breadth-first code from one start: edges numbered as first met."""
+    oriented = d.signs is not None
+    rotation = {start: rot0}
+    queue = [start]
+    labels = {}
+    code = []
+    for ci in queue:
+        entry = []
+        for k in range(4):
+            slot = (rotation[ci] + k) % 4
+            e = d.crossings[ci][slot]
+            if e not in labels:
+                labels[e] = len(labels)
+                other, other_slot = divmod(opp[4 * ci + slot], 4)
+                if other not in rotation:
+                    rotation[other] = rot0 if oriented else 2 * (other_slot // 2)
+                    queue.append(other)
+            entry.append(labels[e])
+        if oriented:
+            entry.append(d.signs[ci])
+        code.append(tuple(entry))
+    return tuple(code), frozenset(queue)
+
+
+def _ref_key(d):
+    """The minimal code over all 2n starts of each part, with no pruning."""
+    if not d.crossings:
+        return ("loops", d.free_loops)
+    opp = _ref_opp(d)
+    best = {}
+    for ci in range(len(d.crossings)):
+        for rot in (0, 2):
+            code, part = _ref_code(d, opp, ci, rot)
+            if part not in best or code < best[part]:
+                best[part] = code
+    return ("pd", d.signs is not None, tuple(sorted(best.values())), d.free_loops)
+
+
+def _ref_bigons(d):
+    """Parallel bigons read off ``faces`` by the rule the engines follow."""
+    found = []
+    for face in faces(d):
+        if len(face) == 2:
+            (ci, i), (cj, j) = face
+            if ci != cj and (i - j) % 2:
+                found.append((ci, i, cj, j))
+    return found
+
+
+def _ref_stripped(d):
+    """d with curls and parallel bigons stripped in the engines' order."""
+    while True:
+        curl = next((ci for ci in range(len(d.crossings)) if curl_sign(d, ci) is not None), None)
+        if curl is not None:
+            d = strip_curl(d, curl)
+            continue
+        for bigon in _ref_bigons(d):
+            reduced = strip_bigon(d, *bigon)
+            if reduced is not None:
+                d = reduced
+                break
+        else:
+            return d
+
+
+def _oracle_diagrams(seed, count):
+    """Seeded closures both ways, their curl-free children, cables and unions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = braid_closure(rand_braid(rng, max_strands=4, max_len=9))
+        for base in (d, LinkDiagram(d.crossings, None, d.free_loops)):
+            out.append(base)
+            for ci in range(len(base.crossings)):
+                children = [switched(base, ci), smoothed(base, ci, "01"), smoothed(base, ci, "03")]
+                if base.oriented:
+                    children.append(oriented_smoothed(base, ci))
+                out.extend(_ref_stripped(c) for c in children)
+        if len(d.crossings) <= 6:
+            mode = rng.choice(("antiparallel", "parallel"))
+            pat = rng.choice((CablePattern.parallel2(), CablePattern.twisted(1),
+                              CablePattern.turnback()))
+            out.append(cable2(d, {i: pat for i in range(d.num_components())}, mode))
+    for a, b in zip(out[::7], out[3::7]):
+        if a.oriented == b.oriented:
+            out.append(disjoint_union(a, b))
+    return out
+
+
+def test_canonical_key_is_min_over_all_starts():
+    diagrams = _oracle_diagrams(2024, 25)
+    assert max(len(d.crossings) for d in diagrams) >= 24
+    assert any(len(connected_parts(d)) > 1 for d in diagrams)
+    for d in diagrams:
+        assert canonical_key(d) == _ref_key(d), diagram_to_text(d)
+
+
+def _reduction_diagrams():
+    diagrams = []
+    patterns = [CablePattern.parallel2(), CablePattern.twisted(1), CablePattern.twisted(-1),
+                CablePattern.twisted(2), CablePattern.turnback()]
+    for d in _golden_ladder():
+        diagrams.append(d)
+        for mode in ("antiparallel", "parallel"):
+            for pat in patterns:
+                diagrams.append(cable2(d, {i: pat for i in range(d.num_components())}, mode))
+    rng = random.Random(99)
+    for _ in range(40):
+        d = braid_closure(rand_braid(rng, max_strands=4, max_len=10))
+        diagrams += [d, LinkDiagram(d.crossings, None, d.free_loops),
+                     add_kinks(d, 0, rng.choice((-2, -1, 1, 2)))]
+    return diagrams
+
+
+def test_bigon_reductions_match_faces():
+    for d in _reduction_diagrams():
+        assert bigon_reductions(d) == _ref_bigons(d), diagram_to_text(d)
+
+
+def test_engines_strip_the_first_curl_and_bigon(monkeypatch):
+    # every strip the engines make must be the one the reference order names:
+    # the first curl by index, else the first parallel bigon that strips
+    import skeinpoly.diagrams as dg
+    from skeinpoly.homfly import HomflyEngine
+    from skeinpoly.kauffman import KauffmanEngine
+
+    orig_curl, orig_bigon = dg.strip_curl, dg.strip_bigon
+    strips = []
+
+    def checked_curl(d, ci):
+        strips.append("curl")
+        assert ci == next(c for c in range(len(d.crossings)) if curl_sign(d, c) is not None)
+        return orig_curl(d, ci)
+
+    def checked_bigon(d, *bigon):
+        strips.append("bigon")
+        assert all(curl_sign(d, c) is None for c in range(len(d.crossings)))
+        candidates = _ref_bigons(d)
+        k = candidates.index(bigon)
+        assert all(orig_bigon(d, *b) is None for b in candidates[:k])
+        return orig_bigon(d, *bigon)
+
+    monkeypatch.setattr(dg, "strip_curl", checked_curl)
+    monkeypatch.setattr(dg, "strip_bigon", checked_bigon)
+    for d in _reduction_diagrams():
+        if len(d.crossings) <= 12:
+            KauffmanEngine().value(d)
+            if d.oriented and d.num_components():
+                HomflyEngine().p(d)
+    assert strips.count("curl") > 100 and strips.count("bigon") > 100
