@@ -18,11 +18,29 @@ the other end of dart t's edge.  A strand arriving at dart t leaves by
 dart ``t ^ 2`` (the opposite slot); the face after dart t starts at
 ``opp[t]`` turned one slot counterclockwise (slot + 1 mod 4).
 
-Crossingless circles ("free loops") are stored as a bare count.  The
-constructor validates only combinatorial well-formedness.  PD text and
-JSON input (``parse_diagram``, ``diagram_from_json``) are also checked
-for planarity by Euler's formula: a connected part with n crossings
-must have n + 2 faces.
+Crossingless circles ("free loops") are stored as a bare count.
+
+Outside input is checked where it enters.  The public ``LinkDiagram``
+constructor checks combinatorial well-formedness: int edge ids (not
+bools, floats or strings), each used twice, signs +-1 that orient every
+edge consistently, and an int free-loop count >= 0; else it raises
+``ValidationError``.  PD text and JSON input (``parse_diagram``,
+``diagram_from_json``) raise ``ParseError`` on a non-integer field and
+are also checked for planarity by Euler's formula: a connected part with
+n crossings must have n + 2 faces.  The surgeries of this module build
+their results with ``LinkDiagram._trusted``, which checks nothing: it
+trusts its caller to pass a tuple of int 4-tuples, a tuple of signs or
+None, and an int loop count that already form a well-formed diagram, as
+every surgery of a well-formed diagram does.
+
+Canonical keys are minimal breadth-first codes over the starts of each
+connected part.  The code from a start (crossing, under-slot rotation)
+reads each crossing's four labels in the order the search meets them;
+its entry 0 depends on the start alone, so only the starts of least
+entry 0 are encoded (in an oriented part where no edge returns to its
+own crossing: the starts at the crossings of least sign).  This cuts
+the candidate starts by an invariant before the search, as in McKay and
+Piperno, "Practical graph isomorphism II" (2014), and keeps every key.
 
 Diagrams are immutable; all operations return new diagrams and are safe
 to call concurrently.
@@ -42,7 +60,7 @@ from .errors import (
     Unoriented,
     ValidationError,
 )
-from .rings import LaurentPoly, RatFunc
+from .rings import LaurentPoly, RatFunc, _json_int
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +75,45 @@ class LinkDiagram:
     counts crossingless circles.
     """
 
-    __slots__ = ("crossings", "signs", "free_loops", "_opp", "_strands")
+    __slots__ = ("crossings", "signs", "free_loops", "_opp", "_strands", "_parts")
 
-    def __init__(self, crossings, signs=None, free_loops=0, validate=True):
-        self.crossings = tuple(tuple(int(e) for e in x) for x in crossings)
-        self.signs = None if signs is None else tuple(int(s) for s in signs)
-        self.free_loops = int(free_loops)
-        self._opp = None
-        self._strands = None
-        if validate:
-            self._validate()
+    def __init__(self, crossings, signs=None, free_loops=0):
+        self.crossings = tuple(tuple(x) for x in crossings)
+        self.signs = None if signs is None else tuple(signs)
+        self.free_loops = free_loops
+        self._opp = self._strands = self._parts = None
+        self._validate()
+
+    @staticmethod
+    def _trusted(crossings, signs, free_loops):
+        """Wrap the fields as given, unchecked.
+
+        ``crossings`` must be a tuple of 4-tuples of ints in which every
+        edge occurs twice, ``signs`` a parallel tuple of +-1 that orients
+        every edge consistently, or None, and ``free_loops`` an int >= 0.
+        """
+        d = object.__new__(LinkDiagram)
+        d.crossings = crossings
+        d.signs = signs
+        d.free_loops = free_loops
+        d._opp = d._strands = d._parts = None
+        return d
 
     def _validate(self):
+        if type(self.free_loops) is not int:
+            raise ValidationError(f"free loop count {self.free_loops!r} is not an integer")
         if self.free_loops < 0:
             raise ValidationError("negative free loop count")
         if self.signs is not None:
             if len(self.signs) != len(self.crossings):
                 raise ValidationError("sign list length differs from crossing list")
-            if any(s not in (1, -1) for s in self.signs):
+            if any(type(s) is not int or s not in (1, -1) for s in self.signs):
                 raise ValidationError("crossing signs must be +1 or -1")
         for x in self.crossings:
             if len(x) != 4:
                 raise ValidationError(f"crossing {x} does not have 4 edge ends")
+            if any(type(e) is not int for e in x):
+                raise ValidationError(f"crossing {x} has an edge id that is not an integer")
         counts = {}
         for x in self.crossings:
             for e in x:
@@ -143,6 +178,29 @@ class LinkDiagram:
             self._strands = walks
         return self._strands
 
+    def parts(self):
+        """Crossing indices grouped by connectivity through shared edges.
+
+        Cached, and shared by every caller: do not mutate the lists.
+        """
+        if self._parts is None:
+            opp = self.opp()
+            part_of = [-1] * len(self.crossings)
+            parts = []
+            for c0 in range(len(part_of)):
+                if part_of[c0] < 0:
+                    part_of[c0] = len(parts)
+                    reached = [c0]
+                    for ci in reached:            # grows as crossings are reached
+                        for t in range(4 * ci, 4 * ci + 4):
+                            oc = opp[t] >> 2
+                            if part_of[oc] < 0:
+                                part_of[oc] = len(parts)
+                                reached.append(oc)
+                    parts.append(sorted(reached))
+            self._parts = parts
+        return self._parts
+
     def edges(self):
         return sorted({e for x in self.crossings for e in x})
 
@@ -180,9 +238,11 @@ class BraidWord:
     word: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "word", tuple(self.word))
+        if type(self.strands) is not int or any(type(i) is not int for i in self.word):
+            raise ValidationError("braid strand count and generators must be integers")
         if self.strands < 1:
             raise ValidationError("braid needs at least one strand")
-        object.__setattr__(self, "word", tuple(int(i) for i in self.word))
         for i in self.word:
             if i == 0 or abs(i) >= self.strands:
                 raise ValidationError(f"generator index {i} out of range for {self.strands} strands")
@@ -282,18 +342,19 @@ def diagram_to_json(d: LinkDiagram) -> dict:
 def diagram_from_json(obj):
     try:
         if obj.get("format") == BRAID_JSON_FORMAT:
-            return BraidWord(int(obj["strands"]), tuple(int(i) for i in obj["word"]))
+            return BraidWord(_json_int(obj["strands"], "strand count"),
+                             tuple(_json_int(i, "generator") for i in obj["word"]))
         if obj.get("format") != DIAGRAM_JSON_FORMAT:
             raise ParseError(f"unknown diagram format {obj.get('format')!r}")
-        crossings = [tuple(int(e) for e in c["edges"]) for c in obj["crossings"]]
+        crossings = [tuple(_json_int(e, "edge") for e in c["edges"]) for c in obj["crossings"]]
         raw_signs = [c["sign"] for c in obj["crossings"]]
         if any(s is None for s in raw_signs):
             if not all(s is None for s in raw_signs):
                 raise ParseError("mixed oriented and unoriented crossings in JSON")
             signs = None
         else:
-            signs = tuple(int(s) for s in raw_signs)
-        d = LinkDiagram(crossings, signs, int(obj.get("free_loops", 0)))
+            signs = tuple(_json_int(s, "sign") for s in raw_signs)
+        d = LinkDiagram(crossings, signs, _json_int(obj.get("free_loops", 0), "free_loops"))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad diagram JSON: {exc}") from exc
     return _planar(d)
@@ -351,8 +412,9 @@ def _relabel_dense(d: LinkDiagram) -> LinkDiagram:
         for e in x:
             if e not in mapping:
                 mapping[e] = len(mapping)
-    return LinkDiagram([tuple(mapping[e] for e in x) for x in d.crossings],
-                       d.signs, d.free_loops, validate=False)
+    m = mapping.__getitem__
+    return LinkDiagram._trusted(tuple((m(a), m(b), m(c), m(e)) for a, b, c, e in d.crossings),
+                                d.signs, d.free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +532,16 @@ def _rewired(d: LinkDiagram, drop, merges, oriented=True, loops=0) -> LinkDiagra
             free_loops += 1
         else:
             alias[b] = a
-    keep = [i for i in range(len(d.crossings)) if i not in drop]
-    crossings = [tuple(resolve(e) for e in d.crossings[i]) for i in keep]
-    signs = None if d.signs is None or not oriented else [d.signs[i] for i in keep]
-    return LinkDiagram(crossings, signs, free_loops, validate=False)
+    keep = (x for i, x in enumerate(d.crossings) if i not in drop)
+    if alias:
+        final = {e: resolve(e) for e in alias}.get
+        crossings = tuple((final(a, a), final(b, b), final(c, c), final(e, e))
+                          for a, b, c, e in keep)
+    else:
+        crossings = tuple(keep)
+    signs = None if d.signs is None or not oriented else tuple(
+        s for i, s in enumerate(d.signs) if i not in drop)
+    return LinkDiagram._trusted(crossings, signs, free_loops)
 
 
 def _flipped(d: LinkDiagram, indices) -> LinkDiagram:
@@ -489,7 +557,8 @@ def _flipped(d: LinkDiagram, indices) -> LinkDiagram:
             crossings[ci] = (b, c, e, a)
             if signs is not None:
                 signs[ci] = 1
-    return LinkDiagram(crossings, signs, d.free_loops, validate=False)
+    return LinkDiagram._trusted(tuple(crossings), None if signs is None else tuple(signs),
+                                d.free_loops)
 
 
 def switched(d: LinkDiagram, ci) -> LinkDiagram:
@@ -536,17 +605,17 @@ def reverse_all(d: LinkDiagram) -> LinkDiagram:
     """Reverse the orientation of every component (crossing signs are preserved)."""
     if d.signs is None:
         return d
-    return LinkDiagram([(x[2], x[3], x[0], x[1]) for x in d.crossings],
-                       d.signs, d.free_loops, validate=False)
+    return LinkDiagram._trusted(tuple((c, e, a, b) for a, b, c, e in d.crossings),
+                                d.signs, d.free_loops)
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     if (d1.signs is None) != (d2.signs is None):
         raise OrientationMismatch("cannot union an oriented with an unoriented diagram")
     shift = max([e for x in d1.crossings for e in x], default=-1) + 1
-    crossings = list(d1.crossings) + [tuple(e + shift for e in x) for x in d2.crossings]
-    signs = None if d1.signs is None else tuple(d1.signs) + tuple(d2.signs)
-    return LinkDiagram(crossings, signs, d1.free_loops + d2.free_loops, validate=False)
+    crossings = d1.crossings + tuple(tuple(e + shift for e in x) for x in d2.crossings)
+    signs = None if d1.signs is None else d1.signs + d2.signs
+    return LinkDiagram._trusted(crossings, signs, d1.free_loops + d2.free_loops)
 
 
 def _component_darts(d: LinkDiagram, comp_index):
@@ -580,10 +649,10 @@ def connected_sum(d1: LinkDiagram, c1, d2: LinkDiagram, c2) -> LinkDiagram:
     ends1 = _component_darts(d1, c1)
     ends2 = _component_darts(d2, c2)
     if ends2 is None:
-        trimmed = LinkDiagram(d2.crossings, d2.signs, d2.free_loops - 1, validate=False)
+        trimmed = LinkDiagram._trusted(d2.crossings, d2.signs, d2.free_loops - 1)
         return disjoint_union(d1, trimmed)
     if ends1 is None:
-        trimmed = LinkDiagram(d1.crossings, d1.signs, d1.free_loops - 1, validate=False)
+        trimmed = LinkDiagram._trusted(d1.crossings, d1.signs, d1.free_loops - 1)
         return disjoint_union(trimmed, d2)
     union = disjoint_union(d1, d2)
     tail1, head1 = ends1
@@ -675,6 +744,21 @@ def curl_sign(d: LinkDiagram, ci):
     return None
 
 
+def first_curl(d: LinkDiagram):
+    """(ci, chirality) of the curl crossing of least index, or None.
+
+    The same crossing and chirality as the first ci whose ``curl_sign``
+    is not None, in one pass: a crossing holds at most two curl edges,
+    and both have the same chirality.
+    """
+    for ci, (a, b, c, e) in enumerate(d.crossings):
+        if a == b or c == e:
+            return ci, 1
+        if b == c or e == a:
+            return ci, -1
+    return None
+
+
 def strip_curl(d: LinkDiagram, ci) -> LinkDiagram:
     """Remove a curl crossing, splicing the strand through."""
     x = d.crossings[ci]
@@ -693,18 +777,14 @@ def bigon_reductions(d: LinkDiagram):
 
     Yields (ci, i, cj, j) for faces {(ci,i),(cj,j)} where the shared
     strand runs at the same level (over both times or under both times).
+    One scan over the darts finds every 2-cycle t -> u -> t of the face
+    successor, in increasing order of its smaller dart t: the order in
+    which ``faces`` lists them.
     """
-    found = []
-    for face in faces(d):
-        if len(face) != 2:
-            continue
-        (ci, i), (cj, j) = face
-        if ci == cj:
-            continue
-        if (i - j) % 2 == 0:
-            continue                      # clasp: one strand over, one under
-        found.append((ci, i, cj, j))
-    return found
+    succ = [v + 1 if v & 3 != 3 else v - 3 for v in d.opp()]
+    # (t - u) odd: the strand keeps its level, so the bigon is no clasp
+    return [(t >> 2, t & 3, u >> 2, u & 3) for t, u in enumerate(succ)
+            if u > t and succ[u] == t and (t - u) & 1 and t >> 2 != u >> 2]
 
 
 def strip_bigon(d: LinkDiagram, ci, i, cj, j) -> "LinkDiagram | None":
@@ -762,60 +842,57 @@ def first_bad_crossing(d: LinkDiagram, rng=None):
 
 def connected_parts(d: LinkDiagram):
     """Crossing indices grouped by connectivity through shared edges."""
-    parent = list(range(len(d.crossings)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for t, u in enumerate(d.opp()):
-        if t < u:
-            a, b = find(t >> 2), find(u >> 2)
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for i in range(len(d.crossings)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    return d.parts()
 
 
-def subdiagram(d: LinkDiagram, crossing_indices) -> LinkDiagram:
-    keep = sorted(crossing_indices)
-    crossings = [d.crossings[i] for i in keep]
-    signs = None if d.signs is None else [d.signs[i] for i in keep]
-    return _relabel_dense(LinkDiagram(crossings, signs, 0, validate=False))
+def subdiagram(d: LinkDiagram, part) -> LinkDiagram:
+    """One entry of ``connected_parts(d)`` as a diagram of its own, relabeled.
+
+    The result knows it is connected, so its ``parts()`` costs nothing.
+    """
+    keep = sorted(part)
+    signs = None if d.signs is None else tuple(d.signs[i] for i in keep)
+    sub = _relabel_dense(LinkDiagram._trusted(tuple(d.crossings[i] for i in keep), signs, 0))
+    sub._parts = [list(range(len(keep)))]
+    return sub
 
 
 # ---------------------------------------------------------------------------
 # Canonical keys for memoization
 # ---------------------------------------------------------------------------
 
-def _encode_from(d: LinkDiagram, start_ci, start_rot, oriented, best=None):
-    """BFS relabeling code from one start; None when already beaten by best."""
-    rotation = {start_ci: start_rot}
+def _encode_from(opp, signs, start_ci, start_rot, best=None):
+    """BFS relabeling code from one start; None when already beaten by best.
+
+    Crossings are read in the order they are reached, each from its
+    rotation: the start's, or for an unoriented code the under-slot pair
+    by which the crossing was reached.  An entry lists the labels of the
+    four slots read from the rotation, edges numbered in the order first
+    met, then the sign when oriented.  ``opp`` and ``signs`` are the
+    diagram's dart array and signs.
+    """
+    oriented = signs is not None
+    lab = [-1] * len(opp)
+    rotation = [-1] * (len(opp) >> 2)
+    rotation[start_ci] = start_rot
     queue = [start_ci]
-    labels = {}
+    fresh = 0
     code = []
-    opp = d.opp()
-    crossings = d.crossings
-    signs = d.signs
-    qi = 0
-    while qi < len(queue):
-        ci = queue[qi]
-        rot = rotation[ci]
-        x = crossings[ci]
+    for ci in queue:                      # the queue grows as crossings are reached
+        base = 4 * ci
+        if rotation[ci]:
+            darts = (base + 2, base + 3, base, base + 1)
+        else:
+            darts = (base, base + 1, base + 2, base + 3)
         entry = []
-        for k in range(4):
-            slot = (rot + k) & 3
-            e = x[slot]
-            label = labels.get(e)
-            if label is None:
-                label = labels[e] = len(labels)
-                u = opp[4 * ci + slot]
+        for t in darts:
+            label = lab[t]
+            if label < 0:
+                u = opp[t]
+                label = lab[t] = lab[u] = fresh
+                fresh += 1
                 oc = u >> 2
-                if oc not in rotation:
+                if rotation[oc] < 0:
                     rotation[oc] = start_rot if oriented else u & 2
                     queue.append(oc)
             entry.append(label)
@@ -823,14 +900,57 @@ def _encode_from(d: LinkDiagram, start_ci, start_rot, oriented, best=None):
             entry.append(signs[ci])
         entry = tuple(entry)
         if best is not None:
-            ref = best[qi]
+            ref = best[len(code)]
             if entry > ref:
                 return None
             if entry < ref:
                 best = None
         code.append(entry)
-        qi += 1
     return tuple(code)
+
+
+def _first_entry(d: LinkDiagram, ci, rot):
+    """Entry 0 of the code from start (ci, rot): its own slots' labels and sign."""
+    opp = d.opp()
+    lab = {}
+    entry = []
+    for k in range(4):
+        t = 4 * ci + ((rot + k) & 3)
+        label = lab.get(t)
+        if label is None:
+            label = lab[t] = lab[opp[t]] = len(lab) // 2
+        entry.append(label)
+    if d.signs is not None:
+        entry.append(d.signs[ci])
+    return tuple(entry)
+
+
+def _part_code(d: LinkDiagram):
+    """The minimal code of a connected diagram over its starts.
+
+    A code is compared entry by entry and its entry 0 depends on the start
+    alone, so only the starts of least entry 0 can give the minimum; the
+    others are never encoded.  A crossing with no edge back to itself has
+    entry 0 (0, 1, 2, 3), then its sign, from either rotation; at any
+    other crossing a label repeats, which makes entry 0 smaller.
+    """
+    opp = d.opp()
+    looped = sorted({t >> 2 for t, u in enumerate(opp) if t >> 2 == u >> 2})
+    if looped:
+        firsts = {(ci, rot): _first_entry(d, ci, rot) for ci in looped for rot in (0, 2)}
+        least = min(firsts.values())
+        starts = [start for start, first in firsts.items() if first == least]
+    elif d.signs is not None:
+        low = min(d.signs)
+        starts = [(ci, rot) for ci, s in enumerate(d.signs) if s == low for rot in (0, 2)]
+    else:
+        starts = [(ci, rot) for ci in range(len(d.crossings)) for rot in (0, 2)]
+    best = None
+    for ci, rot in starts:
+        code = _encode_from(opp, d.signs, ci, rot, best)
+        if code is not None and (best is None or code < best):
+            best = code
+    return best
 
 
 def canonical_key(d: LinkDiagram):
@@ -845,20 +965,12 @@ def canonical_key(d: LinkDiagram):
     """
     if not d.crossings:
         return ("loops", d.free_loops)
-    parts = connected_parts(d)
-    oriented = d.signs is not None
-    part_codes = []
-    for part in parts:
-        sub = subdiagram(d, part) if len(parts) > 1 else d
-        best = None
-        for ci in range(len(sub.crossings)):
-            for rot in (0, 2):
-                code = _encode_from(sub, ci, rot, oriented, best)
-                if code is not None and (best is None or code < best):
-                    best = code
-        part_codes.append(best)
-    part_codes.sort()
-    return ("pd", oriented, tuple(part_codes), d.free_loops)
+    parts = d.parts()
+    if len(parts) == 1:
+        part_codes = [_part_code(d)]
+    else:
+        part_codes = sorted(_part_code(subdiagram(d, part)) for part in parts)
+    return ("pd", d.signs is not None, tuple(part_codes), d.free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +1047,8 @@ def _orient_arbitrarily(d: LinkDiagram) -> LinkDiagram:
         return d
     head = _flow_heads(d)
     normal = [_normalized(x, ci, head) for ci, x in enumerate(d.crossings)]
-    return LinkDiagram([x for x, _ in normal], [s for _, s in normal], d.free_loops,
-                       validate=False)
+    return LinkDiagram._trusted(tuple(x for x, _ in normal), tuple(s for _, s in normal),
+                                d.free_loops)
 
 
 class _CableBuilder:
@@ -1097,8 +1209,8 @@ def _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra):
     edge = [0] * builder.ports
     for eid, (a, b) in enumerate(builder.links):
         edge[a] = edge[b] = eid
-    cable = LinkDiagram([edge[t:t + 4] for t in range(0, builder.ports, 4)], None,
-                        loops_extra, validate=False)
+    cable = LinkDiagram._trusted(tuple(tuple(edge[t:t + 4]) for t in range(0, builder.ports, 4)),
+                                 None, loops_extra)
     if not oriented_out:
         return _relabel_dense(cable)
     opp = cable.opp()
@@ -1112,7 +1224,7 @@ def _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra):
     if None in normal:
         raise ValidationError("cable orientation propagation failed")
     return _relabel_dense(LinkDiagram([x for x, _ in normal], [s for _, s in normal],
-                                      loops_extra, validate=True))
+                                      loops_extra))
 
 
 def homfly_adjoint_expansion(d: LinkDiagram):
@@ -1164,7 +1276,7 @@ def kauffman_adjoint_expansion(d: LinkDiagram):
     across components.  Diagrams are unoriented 2-cables of the input
     (whose orientation, if any, is ignored).
     """
-    base = LinkDiagram(d.crossings, None, d.free_loops, validate=False)
+    base = LinkDiagram._trusted(d.crossings, None, d.free_loops)
     n = base.num_components()
     c_par, c_twist, c_turn = kauffman_projector_coefficients()
     choices = (

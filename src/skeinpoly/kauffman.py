@@ -151,7 +151,7 @@ class KauffmanEngine(SkeinEngine):
     def value(self, d: dg.LinkDiagram) -> DubVal:
         """D of a diagram; any orientation is ignored."""
         if d.signs is not None:
-            d = dg.LinkDiagram(d.crossings, None, d.free_loops, validate=False)
+            d = dg.LinkDiagram._trusted(d.crossings, None, d.free_loops)
         return self._run(d)
 
     def _combine(self, loops, chirality, parts):

@@ -403,15 +403,30 @@ def poly_to_json(p: LaurentPoly) -> dict:
     return {"vars": list(p.vars), "terms": terms}
 
 
+def _json_int(value, what):
+    """value itself when it is a JSON integer (an int, not a bool or a float)."""
+    if type(value) is not int:
+        raise ParseError(f"bad JSON: {what} {value!r} is not an integer")
+    return value
+
+
+def _json_decimal(value, what):
+    """The int written by a decimal string (an int is also taken)."""
+    if type(value) is str:
+        return int(value)
+    return _json_int(value, what)
+
+
 def poly_from_json(obj) -> LaurentPoly:
     try:
         variables_ = tuple(obj["vars"])
         terms = {}
         for t in obj["terms"]:
-            c = Fraction(int(t["num"]), int(t["den"]))
-            terms[tuple(int(e) for e in t["exp"])] = c
+            c = Fraction(_json_decimal(t["num"], "numerator"),
+                         _json_decimal(t["den"], "denominator"))
+            terms[tuple(_json_int(e, "exponent") for e in t["exp"])] = c
         return LaurentPoly(variables_, terms)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad polynomial JSON: {exc}") from exc
 
 
@@ -1056,7 +1071,7 @@ class DeltaSeries:
 
 def series_from_json(obj):
     try:
-        return DeltaSeries(int(obj["order"]),
+        return DeltaSeries(_json_int(obj["order"], "series order"),
                            {int(k): poly_from_json(c) for k, c in obj["coeffs"].items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc

@@ -8,13 +8,18 @@ a split union of unknots, whose value the relation fixes directly.
 
 Before branching, every node strips curls and parallel bigons eagerly:
 the first curl by crossing index, else the first strippable bigon, then
-the search restarts.  Free loops ride through the strip loop, to which
+the search restarts.  ``diagrams.first_curl`` finds the curl in one pass
+over the crossings, and ``diagrams.bigon_reductions`` finds the bigons in
+one scan over the darts, in the order ``faces`` would list them, so no
+node builds its faces.  Free loops ride through the strip loop, to which
 each strip may add, and are counted once after it; split diagrams factor
 into their connected parts, and connected parts of every size are
 memoized on ``diagrams.canonical_key``, which is invariant under
 relabeling and, for oriented parts, under reversing every component.
-The strip order decides which diagrams get memoized, so it is part of
-the engines' node counts.
+A part reaches the key already split: ``subdiagram`` marks it as one
+part, and a diagram of one part keeps the parts it was split by, so the
+key never runs ``connected_parts`` again.  The strip order decides which
+diagrams get memoized, so it is part of the engines' node counts.
 
 ``SkeinEngine`` holds that skeleton; a subclass supplies the relation
 through three hooks: ``_combine(loops, chirality, parts)`` for a reduced
@@ -75,23 +80,22 @@ class SkeinEngine:
         self._tick()
         chirality = 0
         while d.crossings:
-            for ci in range(len(d.crossings)):
-                sign = dg.curl_sign(d, ci)
-                if sign is not None:
-                    chirality += sign
-                    d = dg.strip_curl(d, ci)
+            curl = dg.first_curl(d)
+            if curl is not None:
+                ci, sign = curl
+                chirality += sign
+                d = dg.strip_curl(d, ci)
+                continue
+            for (ci, i, cj, j) in dg.bigon_reductions(d):
+                reduced = dg.strip_bigon(d, ci, i, cj, j)
+                if reduced is not None:
+                    d = reduced
                     break
             else:
-                for (ci, i, cj, j) in dg.bigon_reductions(d):
-                    reduced = dg.strip_bigon(d, ci, i, cj, j)
-                    if reduced is not None:
-                        d = reduced
-                        break
-                else:
-                    break                   # nothing left to strip
+                break                       # nothing left to strip
         loops = d.free_loops
         if loops:
-            d = dg.LinkDiagram(d.crossings, d.signs, 0, validate=False)
+            d = dg.LinkDiagram._trusted(d.crossings, d.signs, 0)
         parts = dg.connected_parts(d) if d.crossings else []
         values = [self._eval_connected(dg.subdiagram(d, part) if len(parts) > 1 else d)
                   for part in parts]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from skeinpoly.diagrams import (
     add_kinks,
     bigon_reductions,
     braid_closure,
+    braid_to_json,
     cable2,
     canonical_key,
     connected_parts,
@@ -102,6 +104,45 @@ def test_text_round_trip():
     u = parse_diagram("X[0,0,1,1];O:2")
     assert parse_diagram(diagram_to_text(u)) == u
     assert diagram_from_json(diagram_to_json(u)) == u
+
+
+def test_non_integer_json_rejected():
+    # a float, a bool or a string where an integer belongs must not be truncated
+    def edited(blob, edit):
+        blob = json.loads(json.dumps(blob))
+        edit(blob)
+        return blob
+
+    trefoil = diagram_to_json(closure([1, 1, 1]))
+    first = trefoil["crossings"][0]["edges"][0]
+    for value in (first + 0.7, float(first), str(first), first == 1):
+        bad = edited(trefoil, lambda b: b["crossings"][0]["edges"].__setitem__(0, value))
+        with pytest.raises(ParseError, match="not an integer"):
+            diagram_from_json(bad)
+    for value in (1.9, 1.0, True, "1"):
+        bad = edited(trefoil, lambda b: b["crossings"][0].__setitem__("sign", value))
+        with pytest.raises(ParseError, match="not an integer"):
+            diagram_from_json(bad)
+    for value in (2.5, 2.0, True, "2"):
+        with pytest.raises(ParseError, match="not an integer"):
+            diagram_from_json(edited(trefoil, lambda b: b.__setitem__("free_loops", value)))
+    braid = braid_to_json(BraidWord(2, (1, 1, 1)))
+    for key, value in (("word", [1.2, 1, 1]), ("word", [True]), ("strands", 2.0)):
+        with pytest.raises(ParseError, match="not an integer"):
+            diagram_from_json(edited(braid, lambda b: b.__setitem__(key, value)))
+    assert diagram_from_json(trefoil) == closure([1, 1, 1])
+
+
+def test_non_integer_constructor_input_rejected():
+    for crossings, signs, loops in (([(0, 0, 1, 1.0)], None, 0), ([(0, 0, 1, "1")], None, 0),
+                                    ([(0, 0, 1, 1)], (1.0,), 0), ([(0, 0, 1, 1)], (True,), 0),
+                                    ([], None, 1.5), ([], None, True)):
+        with pytest.raises(ValidationError):
+            LinkDiagram(crossings, signs, loops)
+    for strands, word in ((2, (1.2,)), (2.0, (1,)), (2, (True,))):
+        with pytest.raises(ValidationError):
+            BraidWord(strands, word)
+    assert LinkDiagram([[0, 0, 1, 1]], [1], 0) == LinkDiagram(((0, 0, 1, 1),), (1,), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +637,13 @@ def _ref_stripped(d):
 
 
 def _oracle_diagrams(seed, count):
-    """Seeded closures both ways, their curl-free children, cables and unions."""
+    """Seeded closures both ways, kinked, their curl-free children, cables and unions."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         d = braid_closure(rand_braid(rng, max_strands=4, max_len=9))
+        kinked = add_kinks(d, 0, rng.choice((-2, -1, 1, 2)))
+        out += [kinked, LinkDiagram(kinked.crossings, None, kinked.free_loops)]
         for base in (d, LinkDiagram(d.crossings, None, d.free_loops)):
             out.append(base)
             for ci in range(len(base.crossings)):

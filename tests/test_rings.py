@@ -7,6 +7,7 @@ import pytest
 from skeinpoly.errors import (
     DivisionByZero,
     OrderTooLow,
+    ParseError,
     PoleAtOne,
     ValidationError,
 )
@@ -23,6 +24,7 @@ from skeinpoly.rings import (
     poly_to_text,
     psi_series,
     series_exp_v,
+    series_from_json,
     sigma_swap,
     specialize,
 )
@@ -261,6 +263,21 @@ def test_constructor_checks_outside_input():
     assert p.vars == ("s", "a") and p.terms == {(0, 1): 2} and type(p.terms[(0, 1)]) is int
     with pytest.raises(ValidationError):
         p.shifted((1,))
+
+
+def test_poly_json_rejects_non_integers():
+    good = poly_to_json(LaurentPoly(("s", "a"), {(1, -2): Fraction(3, 2)}))
+    for key, value in (("exp", [1.5, -2]), ("exp", [True, -2]), ("exp", ["1", -2]),
+                       ("num", 3.0), ("den", 2.5), ("den", "0")):
+        bad = json.loads(json.dumps(good))
+        bad["terms"][0][key] = value
+        with pytest.raises(ParseError):
+            poly_from_json(bad)
+    assert poly_from_json(good) == LaurentPoly(("s", "a"), {(1, -2): Fraction(3, 2)})
+    series = DeltaSeries(2, {1: LaurentPoly.const(1, ("z",))}).to_json()
+    with pytest.raises(ParseError):
+        series_from_json(dict(series, order=2.0))
+    assert series_from_json(series).to_json() == series
 
 
 def test_poly_json_round_trip():
