@@ -35,6 +35,7 @@ only a coefficient that is not an ``int`` is normalised.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd as _int_gcd
 from operator import add as _add
@@ -403,6 +404,9 @@ def poly_to_json(p: LaurentPoly) -> dict:
     return {"vars": list(p.vars), "terms": terms}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _json_int(value, what):
     """value itself when it is a JSON integer (an int, not a bool or a float)."""
     if type(value) is not int:
@@ -411,8 +415,10 @@ def _json_int(value, what):
 
 
 def _json_decimal(value, what):
-    """The int written by a decimal string (an int is also taken)."""
+    """The int written by a decimal string such as "-12" (an int is also taken)."""
     if type(value) is str:
+        if not _DECIMAL.fullmatch(value):
+            raise ParseError(f"bad JSON: {what} {value!r} is not a decimal integer")
         return int(value)
     return _json_int(value, what)
 

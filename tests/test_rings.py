@@ -268,7 +268,8 @@ def test_constructor_checks_outside_input():
 def test_poly_json_rejects_non_integers():
     good = poly_to_json(LaurentPoly(("s", "a"), {(1, -2): Fraction(3, 2)}))
     for key, value in (("exp", [1.5, -2]), ("exp", [True, -2]), ("exp", ["1", -2]),
-                       ("num", 3.0), ("den", 2.5), ("den", "0")):
+                       ("num", 3.0), ("num", "1_000"), ("num", " 3"), ("den", 2.5),
+                       ("den", "0")):
         bad = json.loads(json.dumps(good))
         bad["terms"][0][key] = value
         with pytest.raises(ParseError):
