@@ -85,6 +85,29 @@ def test_torus_values_printed():
     assert torus_value(5) == k5
 
 
+def test_torus_step_matches_printed_recursion():
+    # T(m) = T(m-2) + (-1)^(m-1) - I(m-1) - (I(m-2) + I(m))/2, forward for
+    # m > 1 and solved for T(m) when the fill runs backward (m < 0); LaurentPoly
+    # operators only
+    half = Fraction(1, 2)
+    for m in range(-30, 31):
+        unit = 1 if m % 2 else -1               # (-1)^(m-1) = (-1)^(m+1)
+        if m > 1:
+            expected = torus_value(m - 2) + unit - i_value(m - 1) \
+                - half * (i_value(m - 2) + i_value(m))
+        elif m < 0:
+            expected = torus_value(m + 2) - unit + i_value(m + 1) \
+                + half * (i_value(m) + i_value(m + 2))
+        else:
+            continue
+        assert torus_value(m) == expected, m
+    # the halving is exact: an odd coefficient stays a Fraction, an even one an int
+    halved = half * (i_value(3) + sigma({(0, 0): 2, (1, 0): 1}))
+    assert halved.terms == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (1, 1): 1,
+                            (0, 2): -1}
+    assert type(halved.terms[(1, 1)]) is int
+
+
 def test_mirror_pattern():
     for n in range(-10, 11):
         assert i_value(-n) == sigma_swap(i_value(n))

@@ -12,6 +12,7 @@ from skeinpoly.errors import (
     ValidationError,
 )
 from skeinpoly.rings import (
+    ALPHABET,
     DeltaSeries,
     LaurentPoly,
     RatFunc,
@@ -240,6 +241,55 @@ def test_poly_text_canonical():
     assert poly_to_text(p) == "3 - 2*sp + 2*sm - sp*sm + sm^2"
     assert poly_to_text(LaurentPoly(("z",), {})) == "0"
     assert poly_to_text(LaurentPoly(("z",), {(-2,): Fraction(1, 2)})) == "1/2*z^-2"
+
+
+def _reference_order(terms):
+    return sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+def _reference_text(p):
+    """The canonical text form, written out independently of rings."""
+    p = p.drop_trivial_vars()
+    pieces = []
+    for exps in _reference_order(p.terms):
+        c = Fraction(p.terms[exps])
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
+        mag = abs(c)
+        num = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        body = mono if mono and mag == 1 else (f"{num}*{mono}" if mono else num)
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    head = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return " ".join([head] + [f"{sign} {body}" for sign, body in pieces[1:]])
+
+
+def _reference_json(p):
+    p = p.drop_trivial_vars()
+    terms = []
+    for exps in _reference_order(p.terms):
+        c = Fraction(p.terms[exps])
+        terms.append({"exp": list(exps), "num": str(c.numerator), "den": str(c.denominator)})
+    return {"vars": list(p.vars), "terms": terms}
+
+
+def test_printers_match_reference():
+    rng = random.Random(20261018)
+    coeffs = [1, -1, 2, -7, 3 ** 40, -(5 ** 33), Fraction(1, 2), Fraction(-9, 4),
+              Fraction(7 ** 20, 3 ** 15), Fraction(-1, 11 ** 12)]
+    polys = [LaurentPoly((), {}), LaurentPoly((), {(): 5}), LaurentPoly(("sp", "sm"), {}),
+             LaurentPoly(("s",), {(0,): Fraction(-3, 2)})]
+    for _ in range(600):
+        variables = tuple(sorted(rng.sample(ALPHABET, rng.randint(0, 3)), key=ALPHABET.index))
+        span = rng.choice([1, 3, 9])
+        terms = {}
+        for _ in range(rng.choice([0, 1, 2, 5, 20, 60])):
+            exps = tuple(rng.randint(-span, span) for _ in variables)
+            terms[exps] = rng.choice(coeffs) if rng.random() < 0.6 else rng.randint(-50, 50)
+        polys.append(LaurentPoly(variables, terms))
+    for p in polys:
+        assert poly_to_text(p) == _reference_text(p)
+        assert poly_to_json(p) == _reference_json(p)
 
 
 def test_bool_coefficients_print_as_int():
