@@ -83,6 +83,7 @@ _I_BASE = {
 }
 
 _i_memo = dict(_I_BASE)
+_ONE = _sigma({(0, 0): 1})
 
 
 def i_value(n: int) -> LaurentPoly:
@@ -94,6 +95,11 @@ def i_value(n: int) -> LaurentPoly:
     the call depth does not grow with n; the cost grows roughly as the
     cube of |n|, because I(n) has about n^2/4 terms with growing
     coefficients.
+
+    Each step builds I(j) in one term dict: a copy of the value whose
+    coefficient is 1 (I(j-5) forward, I(j+5) backward), which also shares
+    that value's key tuples, plus or minus each other T3_VECTOR entry times
+    its value.  Every coefficient on this path is an int.
     """
     memo = _i_memo
     if n in memo:
@@ -104,16 +110,25 @@ def i_value(n: int) -> LaurentPoly:
         start -= step
     for j in range(start, n + step, step):
         if j > 2:
-            m = j - 3               # recursion centered so that I(m+3) = I(j)
-            acc = T3_VECTOR[0] + T3_VECTOR[1] * memo[m - 2]
-            for k, coeff in enumerate(T3_VECTOR[2:], start=-1):
-                acc = acc + coeff * memo[m + k]
+            m = j - 3               # I(j) = I(m+3) = T3[0] + I(m-2) + sum_k T3[k+3] I(m+k)
+            acc, sign = dict(memo[m - 2].terms), 1
         else:
-            m = j + 2               # solve the recursion at center m for I(m-2) = I(j)
-            acc = memo[m + 3] - T3_VECTOR[0]
-            for k, coeff in enumerate(T3_VECTOR[2:], start=-1):
-                acc = acc - coeff * memo[m + k]
-        memo[j] = acc
+            m = j + 2               # I(j) = I(m-2) = I(m+3) - T3[0] - sum_k T3[k+3] I(m+k)
+            acc, sign = dict(memo[m + 3].terms), -1
+        get = acc.get
+        products = [(T3_VECTOR[0], _ONE)] + [(T3_VECTOR[k + 3], memo[m + k]) for k in range(-1, 3)]
+        for coeff, value in products:
+            items = value.terms.items()
+            for (a0, a1), ca in coeff.terms.items():
+                ca *= sign
+                for (b0, b1), cb in items:
+                    key = (a0 + b0, a1 + b1)
+                    c = get(key, 0) + ca * cb
+                    if c:
+                        acc[key] = c
+                    else:
+                        del acc[key]
+        memo[j] = LaurentPoly._trusted(_ONE.vars, acc)
     return memo[n]
 
 
@@ -131,16 +146,18 @@ def torus_value(m: int) -> LaurentPoly:
     """Invariant of the blackboard-framed two-strand torus closure T(2, m).
 
     Like ``i_value``, fills the memo step by step (in steps of 2, forward
-    for m > 1 and backward for m < 0) from its edge towards m.
+    for m > 1 and backward for m < 0) from its edge towards m.  The halving
+    in each step stays exact: ``_halved`` shifts an even int coefficient
+    and turns any other into a Fraction, so an odd sum would show up as a
+    non-integral value, never be rounded.
     """
     memo = _torus_memo
     if m in memo:
         return memo[m]
-    half = Fraction(1, 2)
 
     def step(j):
         unit = 1 if (j - 1) % 2 == 0 else -1
-        return unit + (-1) * i_value(j - 1) - half * (i_value(j - 2) + i_value(j))
+        return unit + (-1) * i_value(j - 1) - _halved(i_value(j - 2) + i_value(j))
 
     d = 2 if m > 1 else -2
     start = m
@@ -152,6 +169,13 @@ def torus_value(m: int) -> LaurentPoly:
         else:
             memo[j] = memo[j + 2] - step(j + 2)
     return memo[m]
+
+
+def _halved(p: LaurentPoly) -> LaurentPoly:
+    """p / 2, exactly: an even int coefficient is shifted, any other becomes a Fraction."""
+    return LaurentPoly._trusted(p.vars, {
+        e: c >> 1 if type(c) is int and not c & 1 else Fraction(c, 2)
+        for e, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

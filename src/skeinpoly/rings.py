@@ -351,56 +351,58 @@ def align(a: LaurentPoly, b: LaurentPoly):
 # --------------------------------------------------------------------------
 # Canonical text form.
 #
-# Terms are sorted by graded-lexicographic order on the exponent vector
-# (total degree ascending, then the exponent tuple descending so that the
-# earlier alphabet variable wins ties).  Coefficients print as "n" or
-# "n/d"; variables with exponent zero are omitted; exponent one prints
-# bare.  The zero polynomial prints as "0".  The format is bit-stable.
+# Terms are sorted by graded-lexicographic order on the exponent vector:
+# total degree ascending, then the exponent tuple descending, so that the
+# earlier alphabet variable wins ties.  ``_sorted_exps`` produces this order
+# with C-level tuple comparisons (a descending sort, then a stable sort on
+# the total degree); ``_term_sort_key`` is the same order as one key, for
+# the leading-term lookups.  Coefficients print as "n" or "n/d"; variables
+# with exponent zero are omitted; exponent one prints bare.  The zero
+# polynomial prints as "0".  The format is bit-stable.
 # --------------------------------------------------------------------------
 
 def _term_sort_key(exps):
     return (sum(exps), tuple(-e for e in exps))
 
 
-def _coeff_text(c):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
+def _sorted_exps(terms):
+    order = sorted(terms, reverse=True)
+    order.sort(key=sum)
+    return order
 
 
 def poly_to_text(p: LaurentPoly) -> str:
     p = p.drop_trivial_vars()
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
+    # per variable: the text of each exponent that occurs ("" for exponent 0)
+    powers = [{e: "" if e == 0 else name if e == 1 else f"{name}^{e}"
+               for e in {exps[i] for exps in terms}}
+              for i, name in enumerate(p.vars)]
     pieces = []
-    for exps in sorted(p.terms, key=_term_sort_key):
-        c = p.terms[exps]
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(p.vars, exps) if e != 0
-        )
-        neg = c < 0
-        c_abs = -c if neg else c
-        if not mono:
-            body = _coeff_text(c_abs)
-        elif c_abs == 1:
-            body = mono
-        else:
-            body = f"{_coeff_text(c_abs)}*{mono}"
-        pieces.append(("- " if neg else "+ ") + body)
+    for exps in _sorted_exps(terms):
+        mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
+        c = terms[exps]
+        sign = " - " if c < 0 else " + "
+        c = abs(c)
+        if c == 1 and mono:
+            pieces.append(sign + mono)
+            continue
+        c = str(c) if type(c) is int else f"{c.numerator}/{c.denominator}"
+        pieces.append(f"{sign}{c}*{mono}" if mono else sign + c)
     head = pieces[0]
-    text = ("-" + head[2:]) if head.startswith("- ") else head[2:]
-    for piece in pieces[1:]:
-        text += " " + piece
-    return text
+    pieces[0] = "-" + head[3:] if head[1] == "-" else head[3:]
+    return "".join(pieces)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:
     p = p.drop_trivial_vars()
     terms = []
-    for exps in sorted(p.terms, key=_term_sort_key):
-        c = Fraction(p.terms[exps])
-        terms.append({"exp": list(exps), "num": str(c.numerator), "den": str(c.denominator)})
+    for exps in _sorted_exps(p.terms):
+        c = p.terms[exps]
+        num, den = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        terms.append({"exp": list(exps), "num": str(num), "den": str(den)})
     return {"vars": list(p.vars), "terms": terms}
 
 

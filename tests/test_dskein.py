@@ -13,6 +13,7 @@ from skeinpoly.dskein import (
     ROT_T2_VECTOR,
     T3_VECTOR,
     Torus2,
+    _halved,
     conj_integrality_check,
     family_to_text,
     i_value,
@@ -106,6 +107,10 @@ def test_torus_step_matches_printed_recursion():
     assert halved.terms == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (1, 1): 1,
                             (0, 2): -1}
     assert type(halved.terms[(1, 1)]) is int
+    assert _halved(i_value(3) + sigma({(0, 0): 2, (1, 0): 1})) == halved
+    odd = _halved(sigma({(0, 0): 3, (1, 0): -4, (0, 1): Fraction(5, 3)}))
+    assert odd.terms == {(0, 0): Fraction(3, 2), (1, 0): -2, (0, 1): Fraction(5, 6)}
+    assert type(odd.terms[(1, 0)]) is int
 
 
 def test_mirror_pattern():

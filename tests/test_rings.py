@@ -28,6 +28,8 @@ from skeinpoly.rings import (
     series_from_json,
     sigma_swap,
     specialize,
+    _sorted_exps,
+    _term_sort_key,
 )
 
 V = LaurentPoly.var
@@ -290,6 +292,7 @@ def test_printers_match_reference():
     for p in polys:
         assert poly_to_text(p) == _reference_text(p)
         assert poly_to_json(p) == _reference_json(p)
+        assert _sorted_exps(p.terms) == sorted(p.terms, key=_term_sort_key)
 
 
 def test_bool_coefficients_print_as_int():
