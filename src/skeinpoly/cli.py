@@ -128,13 +128,14 @@ def _cmd_invariant(args):
     return EXIT_OK
 
 
+_RANGE_END = re.compile(r"[+-]?[0-9]+")       # ASCII digits only, unlike int()
+
+
 def _cmd_table(args):
-    m = args.range.strip()
-    try:
-        lo_text, hi_text = m.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError as exc:
-        raise ParseError(f"bad range {args.range!r}; expected like -3..3") from exc
+    ends = [end.strip() for end in args.range.split("..", 1)]
+    if len(ends) != 2 or not all(_RANGE_END.fullmatch(end) for end in ends):
+        raise ParseError(f"bad range {args.range!r}; expected like -3..3")
+    lo, hi = map(int, ends)
     if args.kind == "i-values":
         rows = [(n, dskein.i_value(n)) for n in range(lo, hi + 1)]
     elif args.kind == "qtilde-torus":
@@ -468,7 +469,7 @@ def _build_parser():
     return parser
 
 
-_RANGE_TOKEN = re.compile(r"^-\d+\.\.-?\d+$")
+_RANGE_TOKEN = re.compile(r"^-[0-9]+\.\.-?[0-9]+$")
 
 
 def main(argv=None):

@@ -258,7 +258,7 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
 # Family-link text grammar: torus2(m) | frame(expr,k) | connsum(expr,expr)
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?\d+)")
+_TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?[0-9]+)")
 
 
 def parse_family(text: str):
@@ -288,7 +288,7 @@ def parse_family(text: str):
 
     def parse_int():
         tok, at = tokens[idx]
-        if tok is None or not re.fullmatch(r"-?\d+", tok):
+        if tok is None or not re.fullmatch(r"-?[0-9]+", tok):
             raise ParseError(f"expected an integer, found {tok!r}", position=at)
         take()
         return int(tok)

@@ -165,6 +165,25 @@ def test_table(capsys):
     assert code == 0 and out == ""
 
 
+def test_integers_are_ascii_decimal(capsys):
+    # int() and \d also take underscores and non-ASCII digits; no format documents them
+    for text in ("1_0..1_1", "\u0663..\u0664", "-\u0663..3", "3..\u0664", "1..2..3", "+-1..2",
+                 "..3", "1 0..11", "0x1..2"):
+        for argv in (["table", "i-values", text], ["table", "i-values", "--", text]):
+            if text.startswith("-") and "--" not in argv:
+                continue
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and "bad range" in err, argv
+    for family in ("torus2(\u0663)", "frame(torus2(3),\u0661)", "torus2(1_0)"):
+        code, out, err = run(capsys, "invariant", "qtilde", family)
+        assert (code, out) == (2, "") and "error" in err, family
+    # the documented spellings keep working
+    for text, first, rows in (("-3..3", -3, 7), (" 2 .. 3 ", 2, 2), ("+1..2", 1, 2)):
+        code, out, _ = run(capsys, "table", "i-values", "--", text)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == rows and lines[0].startswith(f"{first}\t")
+
+
 def test_flags_only_where_read(capsys):
     # table reads only --json; verify never reads --truncate
     for argv in (["table", "i-values", "0..2", "--truncate", "3"],
