@@ -388,9 +388,9 @@ def poly_to_text(p: LaurentPoly) -> str:
         c = abs(c)
         if c == 1 and mono:
             pieces.append(sign + mono)
-            continue
-        c = str(c) if type(c) is int else f"{c.numerator}/{c.denominator}"
-        pieces.append(f"{sign}{c}*{mono}" if mono else sign + c)
+        else:
+            num = str(c) if type(c) is int else f"{c.numerator}/{c.denominator}"
+            pieces.append(f"{sign}{num}*{mono}" if mono else sign + num)
     head = pieces[0]
     pieces[0] = "-" + head[3:] if head[1] == "-" else head[3:]
     return "".join(pieces)
