@@ -33,6 +33,7 @@ Exit codes: 0 success, 2 parse/validation failure, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 from . import diagrams as dg
 from . import dskein, homfly, kauffman
-from .dskein import _sigma
+from .dskein import _BLANKS, _sigma
 from .errors import ParseError, ResourceLimit, SkeinError
 from .rings import (
     DeltaSeries,
@@ -132,7 +133,7 @@ _RANGE_END = re.compile(r"[+-]?[0-9]+")       # ASCII digits only, unlike int()
 
 
 def _cmd_table(args):
-    ends = [end.strip() for end in args.range.split("..", 1)]
+    ends = [end.strip(_BLANKS) for end in args.range.split("..", 1)]
     if len(ends) != 2 or not all(_RANGE_END.fullmatch(end) for end in ends):
         raise ParseError(f"bad range {args.range!r}; expected like -3..3")
     lo, hi = map(int, ends)
@@ -440,7 +441,13 @@ def _order(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and then shared within the process.
+
+    ``parse_args`` keeps no state between calls: each returns a new
+    namespace, and an error exits before any is returned.
+    """
     parser = argparse.ArgumentParser(prog="skeinpoly",
                                      description="exact skein-recursion link invariants")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -146,36 +146,48 @@ def torus_value(m: int) -> LaurentPoly:
     """Invariant of the blackboard-framed two-strand torus closure T(2, m).
 
     Like ``i_value``, fills the memo step by step (in steps of 2, forward
-    for m > 1 and backward for m < 0) from its edge towards m.  The halving
-    in each step stays exact: ``_halved`` shifts an even int coefficient
-    and turns any other into a Fraction, so an odd sum would show up as a
-    non-integral value, never be rounded.
+    for m > 1 and backward for m < 0) from its edge towards m.  The step
+    at j is
+
+        T(j) - T(j - 2) = u(j) - I(j - 1) - (I(j - 2) + I(j)) / 2,
+
+    u(j) being 1 for odd j and -1 for even j; the backward step solves it
+    for T(j - 2).  Each step builds twice the new value in one term dict
+    and then halves it in place.  The halving stays exact: ``_half``
+    shifts an even int and turns an odd one into a Fraction, so an odd sum
+    would show up as a non-integral value, never be rounded.
     """
     memo = _torus_memo
     if m in memo:
         return memo[m]
-
-    def step(j):
-        unit = 1 if (j - 1) % 2 == 0 else -1
-        return unit + (-1) * i_value(j - 1) - _halved(i_value(j - 2) + i_value(j))
-
     d = 2 if m > 1 else -2
     start = m
     while start - d not in memo:
         start -= d
     for j in range(start, m + d, d):
-        if d > 0:
-            memo[j] = memo[j - 2] + step(j)
-        else:
-            memo[j] = memo[j + 2] - step(j + 2)
+        sign, i = (1, j) if d > 0 else (-1, j + 2)      # T(j) = T(j - d) + sign * step(i)
+        acc = {e: 2 * c for e, c in memo[j - d].terms.items()}
+        get = acc.get
+        for value, f in ((_ONE, 2 * sign if i % 2 else -2 * sign), (i_value(i - 1), -2 * sign),
+                         (i_value(i - 2), -sign), (i_value(i), -sign)):
+            for e, c in value.terms.items():
+                c = get(e, 0) + f * c
+                if c:
+                    acc[e] = c
+                else:
+                    del acc[e]
+        for e, c in acc.items():
+            acc[e] = _half(c)
+        memo[j] = LaurentPoly._trusted(_ONE.vars, acc)
     return memo[m]
 
 
-def _halved(p: LaurentPoly) -> LaurentPoly:
-    """p / 2, exactly: an even int coefficient is shifted, any other becomes a Fraction."""
-    return LaurentPoly._trusted(p.vars, {
-        e: c >> 1 if type(c) is int and not c & 1 else Fraction(c, 2)
-        for e, c in p.terms.items()})
+def _half(c):
+    """c / 2, exactly: an even int is shifted, any other value becomes a Fraction or int."""
+    if type(c) is int and not c & 1:
+        return c >> 1
+    h = Fraction(c, 2)
+    return h.numerator if h.denominator == 1 else h
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +270,9 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
 # Family-link text grammar: torus2(m) | frame(expr,k) | connsum(expr,expr)
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?[0-9]+)")
+# blanks are ASCII whitespace only: \s under re.ASCII, and _BLANKS for str.strip
+_BLANKS = " \t\n\r\v\f"
+_TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?[0-9]+)", re.ASCII)
 
 
 def parse_family(text: str):
@@ -267,8 +281,9 @@ def parse_family(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected input {text[pos:].strip()!r}", position=pos)
+            rest = text[pos:].strip(_BLANKS)
+            if rest:
+                raise ParseError(f"unexpected input {rest!r}", position=pos)
             break
         tokens.append((m.group(1), pos))
         pos = m.end()

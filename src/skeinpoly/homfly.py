@@ -18,6 +18,8 @@ the adjoint invariant sums H over the inclusion-exclusion antiparallel
 
 from __future__ import annotations
 
+import functools
+
 from . import diagrams as dg
 from .dskein import SP_MINUS_SM
 from .errors import (
@@ -44,6 +46,11 @@ _VM2 = LaurentPoly(("v", "z"), {(-2, 0): 1})
 _VMZ = LaurentPoly(("v", "z"), {(-1, 1): 1})
 
 
+@functools.cache
+def _delta_pow(n):
+    return DELTA ** n
+
+
 class HomflyEngine(SkeinEngine):
     """The skein engine for P; see ``SkeinEngine`` for the constructor."""
 
@@ -61,17 +68,15 @@ class HomflyEngine(SkeinEngine):
     def _combine(self, loops, chirality, parts):
         # P ignores curls; each split part past the first and each loop is worth DELTA
         if not parts:
-            return DELTA ** (loops - 1)
-        if len(parts) == 1:
-            return parts[0] * DELTA ** loops
-        value = LaurentPoly.const(1, ("v", "z"))
-        for part in parts:
+            return _delta_pow(loops - 1)
+        value = parts[0]
+        for part in parts[1:]:
             value = value * part
-        return value * DELTA ** (len(parts) - 1 + loops)
+        return value * _delta_pow(len(parts) - 1 + loops)   # DELTA ** 0 is 1: no product
 
     def _descending(self, d):
         # a descending diagram is an unlink
-        return DELTA ** (d.num_components() - 1)
+        return _delta_pow(d.num_components() - 1)
 
     def _branch(self, d, bad):
         sw = self._eval(dg.switched(d, bad))

@@ -25,6 +25,8 @@ enter at the very end.
 
 from __future__ import annotations
 
+import functools
+
 from . import diagrams as dg
 from .errors import DivisionByZero, InexactDivision
 from .rings import (
@@ -49,20 +51,38 @@ def _s_minus_pow(k):
     return p
 
 
+def _a_columns(p: LaurentPoly):
+    """The terms of a (s, a)-Laurent polynomial by a-exponent: {ea: {es: c}}."""
+    cols = {}
+    for (es, ea), c in p.with_vars(("s", "a")).terms.items():
+        cols.setdefault(ea, {})[es] = c
+    return cols
+
+
+def _s_minus_divides(p: LaurentPoly):
+    """True when (s - 1/s) divides p.
+
+    s - 1/s = (s - 1)(s + 1)/s with s a unit and s - 1, s + 1 coprime, so
+    it divides p exactly when every a-column of p vanishes at s = 1 and at
+    s = -1.
+    """
+    at_one, at_minus_one = {}, {}
+    for (es, ea), c in p.with_vars(("s", "a")).terms.items():
+        at_one[ea] = at_one.get(ea, 0) + c
+        at_minus_one[ea] = at_minus_one.get(ea, 0) + (-c if es & 1 else c)
+    return not any(at_one.values()) and not any(at_minus_one.values())
+
+
 def _div_s_minus(p: LaurentPoly):
-    """Fast exact division of a (s, a)-Laurent polynomial by (s - 1/s).
+    """Exact division of a (s, a)-Laurent polynomial by (s - 1/s).
 
     Works one a-column at a time by synthetic division; returns None
     when any column leaves a remainder.
     """
     if p.is_zero():
         return p
-    p = p.with_vars(("s", "a"))
-    cols = {}
-    for (es, ea), c in p.terms.items():
-        cols.setdefault(ea, {})[es] = c
     out = {}
-    for ea, col in cols.items():
+    for ea, col in _a_columns(p).items():
         m = min(col)
         work = {e - m: c for e, c in col.items()}       # col * s^(-m), exps >= 0
         quot = {}
@@ -83,19 +103,65 @@ def _div_s_minus(p: LaurentPoly):
     return LaurentPoly(("s", "a"), out)
 
 
+def _root_multiplicity(cols, r, cap):
+    """The multiplicity of s = r (1 or -1) as a common root of the columns, at most cap.
+
+    Each column is a dense coefficient list, lowest power first; one
+    synthetic division by (s - r) per counted root yields the quotients
+    and, last, the remainder: the column's value at r.
+    """
+    for count in range(cap):
+        quots = []
+        for col in cols:
+            quot, acc = [], 0
+            for c in reversed(col):
+                acc = acc * r + c
+                quot.append(acc)
+            if quot.pop():
+                return count
+            quots.append(quot[::-1])
+        cols = quots
+    return cap
+
+
+def _s_minus_gcd(num: LaurentPoly, k: int) -> LaurentPoly:
+    """What ``poly_gcd(num, d)`` returns when d is a unit times (s - 1/s)^k.
+
+    Up to units d is (s - 1)^k (s + 1)^k, with both factors prime, so the
+    GCD is (s - 1)^i (s + 1)^j, i and j being the multiplicities (at most
+    k) of the roots 1 and -1 common to num's a-columns; for a reduced value
+    one of them is 0.  ``poly_gcd`` normalises it to the expanded product,
+    which has no monomial content and leading coefficient 1.
+    """
+    dense = []
+    for col in _a_columns(num).values():
+        lo = min(col)
+        row = [0] * (max(col) - lo + 1)
+        for e, c in col.items():
+            row[e - lo] = c
+        dense.append(row)
+    gcd = [1]                                       # dense in s, lowest power first
+    for r in (1, -1):
+        for _ in range(_root_multiplicity(dense, r, k)):
+            gcd = [a - r * b for a, b in zip([0] + gcd, gcd + [0])]     # times (s - r)
+    return LaurentPoly(("s",), {(e,): c for e, c in enumerate(gcd) if c})
+
+
 class DubVal:
-    """A value num / (s - 1/s)^k, kept reduced so equality is structural."""
+    """A value num / (s - 1/s)^k, kept reduced so equality is structural.
+
+    Reduced means k == 0 or (s - 1/s) does not divide num.  Each operation
+    below states why its result is reduced without a division, or tests
+    divisibility (``_s_minus_divides``) before it divides.
+    """
 
     __slots__ = ("num", "k")
 
     def __init__(self, num: LaurentPoly, k: int, reduce=True):
         if num.is_zero():
             num, k = LaurentPoly(("s", "a"), {}), 0
-        while reduce and k > 0:
-            q = _div_s_minus(num)
-            if q is None:
-                break
-            num, k = q, k - 1
+        while reduce and k > 0 and _s_minus_divides(num):
+            num, k = _div_s_minus(num), k - 1
         self.num = num
         self.k = k
 
@@ -104,26 +170,52 @@ class DubVal:
         return DubVal(LaurentPoly.const(c, ("s", "a")), 0, reduce=False)
 
     @staticmethod
+    @functools.cache
     def loops(n):
-        """delta^n for n crossingless circles."""
-        return DubVal(_DELTA_NUM ** n, n)
+        """delta^n for n crossingless circles, cached per n.
+
+        Already reduced: at s = 1 delta's numerator is a - 1/a, so no power
+        of it vanishes there.
+        """
+        return DubVal(_DELTA_NUM ** n, n, reduce=False)
+
+    def _common_k(self, other):
+        """Both numerators over (s - 1/s)^k, k the larger exponent, and k."""
+        k = max(self.k, other.k)
+        return self.num * _s_minus_pow(k - self.k), other.num * _s_minus_pow(k - other.k), k
 
     def __add__(self, other):
-        k = max(self.k, other.k)
-        a = self.num * _s_minus_pow(k - self.k)
-        b = other.num * _s_minus_pow(k - other.k)
-        return DubVal(a + b, k)
+        """The sum; reduced without a test when the two k differ.
+
+        For k > j, (s - 1/s) divides n (s - 1/s)^(k - j) but not num, so not
+        num + n (s - 1/s)^(k - j) either.
+        """
+        a, b, k = self._common_k(other)
+        return DubVal(a + b, k, reduce=self.k == other.k)
 
     def __sub__(self, other):
-        k = max(self.k, other.k)
-        a = self.num * _s_minus_pow(k - self.k)
-        b = other.num * _s_minus_pow(k - other.k)
-        return DubVal(a - b, k)
+        """The difference; reduced without a test when the two k differ, as for ``+``."""
+        a, b, k = self._common_k(other)
+        return DubVal(a - b, k, reduce=self.k == other.k)
 
     def __mul__(self, other):
+        """The product by a DubVal or a LaurentPoly; only some products are tested.
+
+        A unit (a one-term LaurentPoly, or a DubVal with one-term numerator
+        and k = 0) leaves divisibility by (s - 1/s) unchanged.  The factor
+        (s - 1/s) itself, as ``_S_MINUS``, lowers k when k > 0: num was not
+        divisible and still is not.
+        """
         if isinstance(other, DubVal):
-            return DubVal(self.num * other.num, self.k + other.k)
-        return DubVal(self.num * other, self.k)
+            unit = (self.k == 0 and len(self.num.terms) == 1
+                    or other.k == 0 and len(other.num.terms) == 1)
+            return DubVal(self.num * other.num, self.k + other.k, reduce=not unit)
+        if other is _S_MINUS:
+            if self.k:
+                return DubVal(self.num, self.k - 1, reduce=False)
+            return DubVal(self.num * _S_MINUS, 0, reduce=False)
+        reduce = isinstance(other, LaurentPoly) and len(other.terms) > 1
+        return DubVal(self.num * other, self.k, reduce=reduce)
 
     def __eq__(self, other):
         return isinstance(other, DubVal) and self.k == other.k and self.num == other.num
@@ -132,12 +224,19 @@ class DubVal:
         return hash((self.k, self.num.drop_trivial_vars().key()))
 
     def ratfunc(self) -> RatFunc:
-        return RatFunc(self.num, _s_minus_pow(self.k))
+        """The same RatFunc as ``RatFunc(num, (s - 1/s)^k)``, to the byte.
+
+        Only the GCD step differs: the denominator has no prime factors but
+        s - 1 and s + 1, so ``_s_minus_gcd`` finds the GCD in closed form.
+        """
+        k = self.k
+        return RatFunc._with_gcd(self.num, _s_minus_pow(k), lambda num, den: _s_minus_gcd(num, k))
 
     def __repr__(self):
         return f"DubVal({self.num!r}, k={self.k})"
 
 
+@functools.cache
 def _alpha_power(n):
     return LaurentPoly(("s", "a"), {(0, n): 1})
 
@@ -155,7 +254,7 @@ class KauffmanEngine(SkeinEngine):
         return self._run(d)
 
     def _combine(self, loops, chirality, parts):
-        value = DubVal.loops(loops) if loops else DubVal.const(1)
+        value = DubVal.loops(loops)                     # loops(0) is 1
         for part in parts:
             value = value * part
         if chirality:

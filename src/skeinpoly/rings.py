@@ -251,6 +251,10 @@ class LaurentPoly:
             _norm_values(out)
             return LaurentPoly._trusted(self.vars, out)
         a, b = align(self, other)
+        if len(a.terms) == 1:
+            a, b = b, a
+        if len(b.terms) == 1:
+            return _monomial_product(a, b)
         out = {}
         get = out.get
         bitems = list(b.terms.items())
@@ -338,6 +342,26 @@ class LaurentPoly:
 
     def __str__(self):
         return poly_to_text(self)
+
+
+def _monomial_product(a: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
+    """a * m for a one-term m over the same variables: a shift of a's terms.
+
+    Adding one exponent vector is injective, so no two terms meet and no
+    coefficient cancels; multiplying by 1 changes nothing, and by -1 keeps
+    every coefficient's type, so only other factors renormalise.
+    """
+    (em, cm), = m.terms.items()
+    if cm == 1 and not any(em):
+        return a
+    if len(em) == 2:
+        m0, m1 = em
+        out = {(e0 + m0, e1 + m1): c * cm for (e0, e1), c in a.terms.items()}
+    else:
+        out = {tuple(map(_add, e, em)): c * cm for e, c in a.terms.items()}
+    if cm != 1 and cm != -1:
+        _norm_values(out)
+    return LaurentPoly._trusted(a.vars, out)
 
 
 def align(a: LaurentPoly, b: LaurentPoly):
@@ -661,6 +685,20 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @staticmethod
+    def _with_gcd(num: LaurentPoly, den: LaurentPoly, gcd) -> RatFunc:
+        """``RatFunc(num, den)`` for a nonzero den, with ``gcd`` in place of ``poly_gcd``.
+
+        ``gcd(n, d)`` is called at most once, on num and den after their
+        joint monomial and integer content are gone, and only when both
+        total degrees are at most GCD_DEGREE_BOUND.  It must return exactly
+        what ``poly_gcd(n, d)`` returns there, so that the result is the
+        same to the byte.
+        """
+        r = object.__new__(RatFunc)
+        r.num, r.den = _ratfunc_reduce(*align(num, den), gcd)
+        return r
+
     # ---- arithmetic ----
 
     def _coerce(self, other):
@@ -760,8 +798,13 @@ def ratfunc_from_json(obj) -> RatFunc:
         raise ParseError(f"bad rational-function JSON: {exc}") from exc
 
 
-def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly):
-    """Normalize a num/den pair (see RatFunc docstring)."""
+def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly, gcd=poly_gcd):
+    """Normalize a num/den pair (see RatFunc docstring).
+
+    ``gcd`` takes the place of ``poly_gcd`` for a caller that knows the
+    GCD of its pairs in closed form; it must return what ``poly_gcd``
+    would, as ``RatFunc._with_gcd`` documents.
+    """
     if num.is_zero():
         return LaurentPoly(num.vars, {}), LaurentPoly.const(1, den.vars)
     # joint monomial content
@@ -783,7 +826,7 @@ def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly):
     # full gcd when small
     if (num.total_degree() <= GCD_DEGREE_BOUND and den.total_degree() <= GCD_DEGREE_BOUND
             and not den.is_const()):
-        g = poly_gcd(num, den)
+        g = gcd(num, den)
         if not g.is_const():
             qn = exact_divide(num, g)
             qd = exact_divide(den, g)

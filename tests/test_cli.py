@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,36 @@ def test_integers_are_ascii_decimal(capsys):
         code, out, _ = run(capsys, "table", "i-values", "--", text)
         lines = out.splitlines()
         assert code == 0 and len(lines) == rows and lines[0].startswith(f"{first}\t")
+
+
+def test_blanks_are_ascii(capsys):
+    # str.strip() and \s also take Unicode spaces (em space, ideographic space)
+    for text in ("2\u2003..3", "2..\u20033", "\u20032..3"):
+        code, out, err = run(capsys, "table", "i-values", text)
+        assert (code, out) == (2, "") and "bad range" in err, text
+    for family in ("torus2(\u30003)", "torus2(3)\u3000", "\u2003torus2(3)",
+                   "connsum(torus2(3),\u3000torus2(3))"):
+        code, out, err = run(capsys, "invariant", "qtilde", family)
+        assert (code, out) == (2, "") and "error" in err, family
+    # ASCII blanks keep working
+    assert run(capsys, "table", "i-values", "\t2 ..\n3 ")[:2] == run(capsys, "table", "i-values", "2..3")[:2]
+    code, out, _ = run(capsys, "invariant", "qtilde", " connsum( torus2(3) ,\ttorus2(3) ) \n")
+    assert code == 0 and out == run(capsys, "invariant", "qtilde", "connsum(torus2(3),torus2(3))")[1]
+
+
+def test_parser_reuse_prints_fresh_bytes(capsys):
+    # main() builds its parser once per process; an argparse error must leave nothing behind
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "i-values", "0..2", "--budget", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["table", "qtilde-torus", "-2..2", "--json"]
+    code, out, err = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = subprocess.run([sys.executable, "-m", "skeinpoly.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr) == (0, fresh.stdout, "")
 
 
 def test_flags_only_where_read(capsys):

@@ -13,7 +13,7 @@ from skeinpoly.dskein import (
     ROT_T2_VECTOR,
     T3_VECTOR,
     Torus2,
-    _halved,
+    _half,
     conj_integrality_check,
     family_to_text,
     i_value,
@@ -107,10 +107,12 @@ def test_torus_step_matches_printed_recursion():
     assert halved.terms == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (1, 1): 1,
                             (0, 2): -1}
     assert type(halved.terms[(1, 1)]) is int
-    assert _halved(i_value(3) + sigma({(0, 0): 2, (1, 0): 1})) == halved
-    odd = _halved(sigma({(0, 0): 3, (1, 0): -4, (0, 1): Fraction(5, 3)}))
-    assert odd.terms == {(0, 0): Fraction(3, 2), (1, 0): -2, (0, 1): Fraction(5, 6)}
-    assert type(odd.terms[(1, 0)]) is int
+    summed = i_value(3) + sigma({(0, 0): 2, (1, 0): 1})
+    assert {e: _half(c) for e, c in summed.terms.items()} == halved.terms
+    odd = {e: _half(c) for e, c in sigma({(0, 0): 3, (1, 0): -4, (0, 1): Fraction(5, 3)}).terms.items()}
+    assert odd == {(0, 0): Fraction(3, 2), (1, 0): -2, (0, 1): Fraction(5, 6)}
+    assert type(odd[(1, 0)]) is int
+    assert type(_half(Fraction(4, 1))) is int           # twice a half-integer, halved
 
 
 def test_mirror_pattern():
