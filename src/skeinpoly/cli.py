@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from . import diagrams as dg
 from . import dskein, homfly, kauffman
-from .dskein import _BLANKS, _sigma
+from .dskein import _sigma
 from .errors import ParseError, ResourceLimit, SkeinError
 from .rings import (
     DeltaSeries,
@@ -54,6 +54,7 @@ from .rings import (
     psi_series,
     series_exp_v,
     specialize,
+    _BLANKS,
 )
 
 VALUE_JSON_FORMAT = "skeinpoly-value/1"

@@ -60,7 +60,7 @@ from .errors import (
     Unoriented,
     ValidationError,
 )
-from .rings import LaurentPoly, RatFunc, _json_int
+from .rings import LaurentPoly, RatFunc, _BLANKS, _json_int
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +252,10 @@ class BraidWord:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-_BRAID_RE = re.compile(r"^braid:(\d+):\[([-0-9,\s]*)\]$")
-_CROSSING_RE = re.compile(r"^X([+-]?)\[(\-?\d+),(\-?\d+),(\-?\d+),(\-?\d+)\]$")
-_LOOPS_RE = re.compile(r"^O:(\d+)$")
+# ASCII digits and blanks only, as in every text format (rings._BLANKS)
+_BRAID_RE = re.compile(r"^braid:(\d+):\[([-0-9,\s]*)\]$", re.ASCII)
+_CROSSING_RE = re.compile(r"^X([+-]?)\[(\-?\d+),(\-?\d+),(\-?\d+),(\-?\d+)\]$", re.ASCII)
+_LOOPS_RE = re.compile(r"^O:(\d+)$", re.ASCII)
 
 DIAGRAM_JSON_FORMAT = "skeinpoly-diagram/1"
 BRAID_JSON_FORMAT = "skeinpoly-braid/1"
@@ -268,11 +269,11 @@ def parse_diagram(text):
     slot 0 = incoming under), or ``O:k`` (k crossingless circles).
     Orientation must be all-or-none across the crossings.
     """
-    text = text.strip()
+    text = text.strip(_BLANKS)
     m = _BRAID_RE.match(text)
     if m:
         n = int(m.group(1))
-        body = m.group(2).strip()
+        body = m.group(2).strip(_BLANKS)
         try:
             word = [int(t) for t in body.split(",")] if body else []
         except ValueError as exc:
@@ -287,7 +288,7 @@ def parse_diagram(text):
     has_sign = has_plain = False
     pos = 0
     for raw in text.split(";") if text else []:
-        item = raw.strip()
+        item = raw.strip(_BLANKS)
         if item:
             m = _CROSSING_RE.match(item)
             if m:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimit, ValidationError
-from .rings import LaurentPoly
+from .rings import LaurentPoly, _BLANKS
 
 SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
 
@@ -270,8 +270,6 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
 # Family-link text grammar: torus2(m) | frame(expr,k) | connsum(expr,expr)
 # ---------------------------------------------------------------------------
 
-# blanks are ASCII whitespace only: \s under re.ASCII, and _BLANKS for str.strip
-_BLANKS = " \t\n\r\v\f"
 _TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?[0-9]+)", re.ASCII)
 
 

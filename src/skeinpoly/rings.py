@@ -10,7 +10,8 @@ Variable names come from a fixed alphabet.  The conventional reading:
 
 ======  ===========================================================
 s, a    the two Dubrovnik/Kauffman variables (``a`` is the curl unit)
-v, z    the two HOMFLY-PT variables
+v, z    the two HOMFLY-PT variables; inside the Kauffman engine z also
+        stands for s - 1/s, and is never printed there
 lam     the framing unit of the framed HOMFLY-PT extension
 sp, sm  the generators of Z[sp, sm], the symmetric subring of the
         D(2,1;alpha) weight ring where the additive invariant lives
@@ -432,6 +433,10 @@ def poly_to_json(p: LaurentPoly) -> dict:
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
+#: The blanks of every text format: ASCII whitespace, for ``str.strip``
+#: (``\s`` matches the same set under ``re.ASCII``).
+_BLANKS = " \t\n\r\v\f"
+
 
 def _json_int(value, what):
     """value itself when it is a JSON integer (an int, not a bool or a float)."""
@@ -686,17 +691,13 @@ class RatFunc:
         self.den = den
 
     @staticmethod
-    def _with_gcd(num: LaurentPoly, den: LaurentPoly, gcd) -> RatFunc:
-        """``RatFunc(num, den)`` for a nonzero den, with ``gcd`` in place of ``poly_gcd``.
+    def _coprime(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+        """``RatFunc(num, den)`` for a nonzero den that shares no non-unit factor with num.
 
-        ``gcd(n, d)`` is called at most once, on num and den after their
-        joint monomial and integer content are gone, and only when both
-        total degrees are at most GCD_DEGREE_BOUND.  It must return exactly
-        what ``poly_gcd(n, d)`` returns there, so that the result is the
-        same to the byte.
+        Every normalisation step runs but the GCD, which could only be a unit.
         """
         r = object.__new__(RatFunc)
-        r.num, r.den = _ratfunc_reduce(*align(num, den), gcd)
+        r.num, r.den = _ratfunc_reduce(*align(num, den), coprime=True)
         return r
 
     # ---- arithmetic ----
@@ -764,8 +765,18 @@ class RatFunc:
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):
-        n, d = _ratfunc_reduce(self.num, self.den)
-        return hash((n.drop_trivial_vars().key(), d.drop_trivial_vars().key()))
+        # Hash what a common factor of num and den cannot change: a product's
+        # largest (smallest) exponent of a variable is the sum of its factors'.
+        if self.num.is_zero():
+            return hash(0)
+        num, den = self.num.terms, self.den.terms
+        shape = []
+        for i, name in enumerate(self.num.vars):
+            top = max(e[i] for e in num) - max(e[i] for e in den)
+            bottom = min(e[i] for e in num) - min(e[i] for e in den)
+            if top or bottom:
+                shape.append((name, top, bottom))
+        return hash(tuple(shape))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -798,13 +809,8 @@ def ratfunc_from_json(obj) -> RatFunc:
         raise ParseError(f"bad rational-function JSON: {exc}") from exc
 
 
-def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly, gcd=poly_gcd):
-    """Normalize a num/den pair (see RatFunc docstring).
-
-    ``gcd`` takes the place of ``poly_gcd`` for a caller that knows the
-    GCD of its pairs in closed form; it must return what ``poly_gcd``
-    would, as ``RatFunc._with_gcd`` documents.
-    """
+def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly, coprime=False):
+    """Normalize a num/den pair (see RatFunc docstring); ``coprime`` skips the GCD."""
     if num.is_zero():
         return LaurentPoly(num.vars, {}), LaurentPoly.const(1, den.vars)
     # joint monomial content
@@ -824,9 +830,9 @@ def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly, gcd=poly_gcd):
         num = LaurentPoly(num.vars, {e: c // g for e, c in num.terms.items()})
         den = LaurentPoly(den.vars, {e: c // g for e, c in den.terms.items()})
     # full gcd when small
-    if (num.total_degree() <= GCD_DEGREE_BOUND and den.total_degree() <= GCD_DEGREE_BOUND
-            and not den.is_const()):
-        g = gcd(num, den)
+    if (not coprime and num.total_degree() <= GCD_DEGREE_BOUND
+            and den.total_degree() <= GCD_DEGREE_BOUND and not den.is_const()):
+        g = poly_gcd(num, den)
         if not g.is_const():
             qn = exact_divide(num, g)
             qd = exact_divide(den, g)
@@ -1098,7 +1104,8 @@ class DeltaSeries:
         return all(self.coefficient(k) == other.coefficient(k) for k in range(order))
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted((k, c.key()) for k, c in self.coeffs.items()))))
+        # equality compares coefficient 0 at every order, and only it at order 1
+        return hash(self.coefficient(0))
 
     def to_text(self):
         if not self.coeffs:

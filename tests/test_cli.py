@@ -203,6 +203,26 @@ def test_blanks_are_ascii(capsys):
     assert code == 0 and out == run(capsys, "invariant", "qtilde", "connsum(torus2(3),torus2(3))")[1]
 
 
+def test_diagram_text_is_ascii(capsys):
+    # \d, \s and str.strip() also take Arabic-Indic digits and Unicode spaces
+    for kind, text in (("homfly", "braid:\u0662:[1,1,1]"),
+                       ("kauffman", "X[\u0661,5,2,4];X[3,1,4,6];X[5,3,6,2]"),
+                       ("kauffman", "O:\u0661"),
+                       ("homfly", "braid:2:[1,\u20031,1]"),
+                       ("homfly", "\u2003braid:2:[1,1,1]"),
+                       ("kauffman", "X[1,5,2,4];\u3000X[3,1,4,6];X[5,3,6,2]")):
+        code, out, err = run(capsys, "invariant", kind, text)
+        assert (code, out) == (2, "") and "error" in err, text
+    # ASCII blanks keep working
+    for kind, text, spaced in (
+            ("homfly", "braid:2:[1,1,1]", " braid:2:[ 1,\t1 ,1\n]\r"),
+            ("kauffman", "X[1,5,2,4];X[3,1,4,6];X[5,3,6,2]",
+             "\tX[1,5,2,4] ; X[3,1,4,6];\vX[5,3,6,2]\f"),
+            ("kauffman", "O:2", " O:2\n")):
+        code, out, _ = run(capsys, "invariant", kind, spaced)
+        assert code == 0 and out == run(capsys, "invariant", kind, text)[1], spaced
+
+
 def test_parser_reuse_prints_fresh_bytes(capsys):
     # main() builds its parser once per process; an argparse error must leave nothing behind
     with pytest.raises(SystemExit) as exc:

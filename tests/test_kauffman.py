@@ -194,11 +194,10 @@ def test_k3_ratio_and_derivatives():
 
 
 def test_dubval_reduction():
-    s, a = V("s"), V("a")
-    sm = s - s ** -1
-    v = DubVal(sm * sm * (a + 1), 3)
+    s, a, z = V("s"), V("a"), V("z")
+    v = DubVal((a + 1) * z ** -1)
     assert v.k == 1 and v.num == a + 1
-    assert v.ratfunc() == RatFunc(a + 1, sm)
+    assert v.ratfunc() == RatFunc(a + 1, s - s ** -1)
 
 
 def test_loop_value_at_alpha_eq_s_is_two():

@@ -83,6 +83,24 @@ def test_ratfunc_field_axioms_random():
             assert (a / b) * b == a
 
 
+def test_equal_ratfuncs_hash_equal():
+    s, a = V("s"), V("a")
+    f = s ** 30 + a                  # above GCD_DEGREE_BOUND: no GCD cancels s + 1
+    x, y = RatFunc(f * (s + 1), (s + 2) * (s + 1)), RatFunc(f, s + 2)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    # over different variables, and zero however it is written
+    assert hash(RatFunc(s * a, a)) == hash(RatFunc(s))
+    assert hash(RatFunc(LaurentPoly(("s", "a"), {}), s + 1)) == hash(RatFunc(0))
+    rng = random.Random(12)
+    for _ in range(40):
+        num = rand_poly(rng, ("s", "a"), 3, 2)
+        den = rand_poly(rng, ("a", "v"), 2, 2) + 3
+        common = rand_poly(rng, ("s", "a", "v"), 3, 9) + 1
+        x = RatFunc(num, den)
+        y = RatFunc(num * common, den * common, reduce=rng.random() < 0.5)
+        assert x == y and hash(x) == hash(y)
+
+
 def test_monomial_negative_power():
     m = LaurentPoly(("v", "z"), {(2, -1): Fraction(3, 2)})
     inv = m ** -1
@@ -232,6 +250,16 @@ def test_delta_series_arithmetic():
     assert (s1 + s2).coefficient(0) == LaurentPoly.const(3, ("z",))
     assert (s1 * s2).coefficient(1) == 2 * z
     assert (s1 * s2).coefficient(2) == LaurentPoly.const(4, ("z",)) + z ** 2
+
+
+def test_equal_series_hash_equal():
+    # equality compares up to the lower order, so only coefficient 0 is always compared
+    z = V("z").with_vars(("z",))
+    pairs = ((DeltaSeries(3, {0: 1, 2: 5}), DeltaSeries(2, {0: 1})),
+             (DeltaSeries(1, {0: z}), DeltaSeries(4, {0: z, 1: 2, 3: z})),
+             (DeltaSeries(2, {0: 0, 1: z}), DeltaSeries(2, {1: z})))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The exact shortcuts of the engine value layer, against generic references.
+"""The engine value layer against generic references.
 
-``LaurentPoly.__mul__`` multiplies by a one-term operand as a shift;
-``DubVal`` skips every (s - 1/s) division that cannot succeed; and
-``DubVal.ratfunc`` takes its GCD in closed form.  Each is checked here
-against a test-local generic version: a plain double loop over terms, the
-old DubVal operations (align by powers of s - 1/s, then divide by it with
-``rings.exact_divide`` for as long as that succeeds) and
+``LaurentPoly.__mul__`` multiplies by a one-term operand as a shift, and
+``DubVal`` derives its printed form num / (s - 1/s)^k from a polynomial in
+(a, z) by expanding z as s - 1/s.  Each is checked here against a
+test-local generic version: a plain double loop over terms, the value
+with z expanded and brought over (s - 1/s)^K, then divided by s - 1/s
+with ``rings.exact_divide`` for as long as that succeeds, and
 ``RatFunc(num, (s - 1/s)^k)`` with ``poly_gcd``.
 """
 
@@ -14,12 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from skeinpoly import kauffman
 from skeinpoly.diagrams import braid_closure, parse_diagram
-from skeinpoly.kauffman import _S_MINUS, DubVal, KauffmanEngine, _s_minus_pow
+from skeinpoly.errors import ValidationError
+from skeinpoly.kauffman import DubVal, KauffmanEngine, _s_minus_pow
 from skeinpoly.rings import GCD_DEGREE_BOUND, LaurentPoly, RatFunc, exact_divide
 
 SA = ("s", "a")
+AZ = ("a", "z")
 
 
 def naive_mul(p, q):
@@ -46,11 +47,10 @@ def structure(p):
 
 
 S = LaurentPoly(SA, {(1, 0): 1, (-1, 0): -1})
-S_LESS_1 = LaurentPoly(SA, {(1, 0): 1, (0, 0): -1})
-S_PLUS_1 = LaurentPoly(SA, {(1, 0): 1, (0, 0): 1})
+K = 6                                   # no value below has a pole of higher order at z = 0
 
 
-# ---- the old generic DubVal operations ------------------------------------
+# ---- the printed form against the generic reduction -----------------------
 
 def ref_reduce(num, k):
     if num.is_zero():
@@ -63,17 +63,13 @@ def ref_reduce(num, k):
     return num, k
 
 
-def ref_add(x, y, sign=1):
-    k = max(x.k, y.k)
-    a = naive_mul(x.num, naive_pow(S, k - x.k))
-    b = naive_mul(y.num, naive_pow(S, k - y.k))
-    return ref_reduce(a + b if sign == 1 else a - b, k)
-
-
-def ref_mul(x, y):
-    if isinstance(y, DubVal):
-        return ref_reduce(naive_mul(x.num, y.num), x.k + y.k)
-    return ref_reduce(naive_mul(x.num, y), x.k)
+def expanded(p):
+    """p(a, z) * S^K over (s, a), with z expanded as S."""
+    out = LaurentPoly(SA, {})
+    for (ea, ez), c in p.with_vars(AZ).terms.items():
+        assert ez + K >= 0
+        out = out + naive_mul(LaurentPoly(SA, {(0, ea): c}), naive_pow(S, ez + K))
+    return out
 
 
 def assert_reduced(v):
@@ -83,89 +79,74 @@ def assert_reduced(v):
         assert v.k == 0
 
 
-def assert_same(v, ref):
-    num, k = ref
-    assert (v.k, structure(v.num.with_vars(SA))) == (k, structure(num.with_vars(SA)))
+def assert_print_form(v):
+    num, k = ref_reduce(expanded(v.poly), K)
+    assert (v.k, structure(v.num)) == (k, structure(num.with_vars(SA)))
     assert_reduced(v)
 
 
-def random_poly(rng, terms=4, span=3):
+def random_poly(rng, terms=4, z_span=(-3, 3), a_span=3):
     out = {}
     for _ in range(rng.randint(1, terms)):
-        e = (rng.randint(-span, span), rng.randint(-span, span))
+        e = (rng.randint(-a_span, a_span), rng.randint(*z_span))
         out[e] = rng.choice([-3, -2, -1, 1, 2, 5])
-    return LaurentPoly(SA, out)
-
-
-def random_value(rng):
-    """A reduced DubVal whose numerator often has the factors s - 1 and s + 1."""
-    num = random_poly(rng)
-    num = naive_mul(num, naive_pow(S_LESS_1, rng.choice([0, 0, 1, 2])))
-    num = naive_mul(num, naive_pow(S_PLUS_1, rng.choice([0, 0, 1, 2])))
-    num, k = ref_reduce(num, rng.randint(0, 4))
-    value = DubVal(num, k, reduce=False)
-    assert_reduced(value)
-    return value
+    return LaurentPoly(AZ, out)
 
 
 def test_dubval_ops_match_generic_reference():
     rng = random.Random(20261019)
-    for _ in range(250):
-        x, y = random_value(rng), random_value(rng)
-        assert_same(x + y, ref_add(x, y))
-        assert_same(x - y, ref_add(x, y, -1))
-        assert_same(x - x, (LaurentPoly(SA, {}), 0))
-        assert_same(x * y, ref_mul(x, y))
-        assert_same(x * _S_MINUS, ref_mul(x, S))
-        mono = LaurentPoly(SA, {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice([-2, 1, 3])})
-        assert_same(x * mono, ref_mul(x, mono))
-        assert_same(x * DubVal(mono, 0), ref_mul(x, DubVal(mono, 0)))
-        assert_same(DubVal(mono, 0) * x, ref_mul(DubVal(mono, 0), x))
-        poly = random_poly(rng)
-        assert_same(x * poly, ref_mul(x, poly))
-        # the constructor reduces whatever it is given
-        num = naive_mul(random_poly(rng), naive_pow(S, rng.randint(0, 3)))
-        k = rng.randint(0, 4)
-        assert_same(DubVal(num, k), ref_reduce(num, k))
+    for _ in range(80):
+        p, q = random_poly(rng), random_poly(rng, z_span=(-3, 9))
+        x, y = DubVal(p), DubVal(q)
+        for value, poly in ((x, p), (x + y, p + q), (x - y, p - q), (x * y, naive_mul(p, q)),
+                            (x * q, naive_mul(p, q)), (x - x, LaurentPoly(AZ, {}))):
+            assert structure(value.poly) == structure(poly)
+            assert_print_form(value)
+        assert x + y == y + x and x * y == y * x and hash(x * y) == hash(y * x)
+
+
+def test_print_form_above_the_degree_bound():
+    # z-degrees up to GCD_DEGREE_BOUND + 1, poles up to K
+    rng = random.Random(25)
+    for _ in range(60):
+        value = DubVal(random_poly(rng, terms=5, z_span=(-K, GCD_DEGREE_BOUND + 1), a_span=2))
+        assert_print_form(value)
+        got = value.ratfunc()
+        expected = RatFunc(value.num, _s_minus_pow(value.k))
+        assert ratfunc_structure(got) == ratfunc_structure(expected)
 
 
 def test_sums_that_cancel_a_factor_are_reduced():
-    # equal k: the sum may gain the factor s - 1/s, and the constructor must divide it out
-    x = DubVal(S_LESS_1 + 1, 2)                       # s / (s - 1/s)^2
-    y = DubVal(LaurentPoly(SA, {(-1, 0): -1}), 2)     # -1/s / (s - 1/s)^2
-    assert_same(x + y, ref_add(x, y))
-    assert (x + y).k == 1 and (x + y).num == LaurentPoly.const(1, SA)
-    # a product of values each carrying one of s - 1, s + 1
-    p = DubVal(S_LESS_1, 1)
-    q = DubVal(S_PLUS_1, 1)
-    assert_same(p * q, ref_mul(p, q))
-    assert (p * q).k == 1
+    # the lowest rows cancel, so the pole at z = 0 drops, here to none
+    x = DubVal(LaurentPoly(AZ, {(1, -2): 1, (0, -1): 3, (2, 4): 1}))
+    y = DubVal(LaurentPoly(AZ, {(1, -2): -1, (0, -1): -3, (0, 0): 2}))
+    assert (x.k, y.k, (x + y).k, (x - y).k) == (2, 2, 0, 2)
+    for value in (x, y, x + y, x - y):
+        assert_print_form(value)
+    rng = random.Random(7)
+    for _ in range(100):
+        p, q = random_poly(rng), random_poly(rng, terms=2, z_span=(-1, 2))
+        assert_print_form(DubVal(p) + DubVal(q - p))
+        assert_print_form(DubVal(p) - DubVal(p + q))
+
+
+def test_dubval_takes_only_a_and_z():
+    for bad in (LaurentPoly.var("s"), LaurentPoly(SA, {(0, 1): 1}), LaurentPoly(("a", "v"), {(1, 1): 1})):
+        with pytest.raises(ValidationError):
+            DubVal(bad)
+    with pytest.raises(ValidationError):
+        DubVal(LaurentPoly.var("z")) * LaurentPoly.var("s")
+    assert DubVal(LaurentPoly.var("a")) == DubVal(LaurentPoly(AZ, {(1, 0): 1}))
+    assert DubVal(LaurentPoly.const(3)).poly.vars == AZ
 
 
 def test_loops_are_reduced_and_cached():
     for n in range(7):
         value = DubVal.loops(n)
         delta_num = S + LaurentPoly(SA, {(0, 1): 1, (0, -1): -1})
-        assert_same(value, ref_reduce(naive_pow(delta_num, n), n))
+        num, k = ref_reduce(naive_pow(delta_num, n), n)
+        assert (value.k, structure(value.num)) == (k, structure(num))
         assert DubVal.loops(n) is value
-
-
-def test_engine_never_tries_a_futile_division(monkeypatch):
-    results = []
-    divide = kauffman._div_s_minus
-
-    def counted(p):
-        q = divide(p)
-        results.append(q)
-        return q
-
-    monkeypatch.setattr(kauffman, "_div_s_minus", counted)
-    engine = KauffmanEngine()
-    for text in ("braid:2:[1,1,1]", "braid:3:[1,-2,1,-2]", "braid:3:[1,1,2,-1,2,2]",
-                 "braid:4:[1,2,-3,2,1,2,3]"):
-        engine.value(braid_closure(parse_diagram(text))).ratfunc()
-    assert None not in results
-    assert DubVal(naive_mul(S, S), 1).k == 0 and results[-1] is not None    # the wrapper is live
 
 
 # ---- DubVal.ratfunc against RatFunc(num, (s - 1/s)^k) ----------------------
@@ -176,33 +157,23 @@ def ratfunc_structure(r):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_ratfunc_matches_poly_gcd(k):
+    # total degrees stay within GCD_DEGREE_BOUND, so the reference runs poly_gcd
     rng = random.Random(k)
-    for root, other in ((S_LESS_1, S_PLUS_1), (S_PLUS_1, S_LESS_1)):
-        for mult in range(k + 2):
-            for _ in range(3):
-                num = naive_mul(random_poly(rng), naive_pow(root, mult))
-                for value in (DubVal(num, k), DubVal(num, k, reduce=False),
-                              DubVal(naive_mul(num, naive_pow(other, rng.randint(0, 2))), k, reduce=False)):
-                    expected = RatFunc(value.num, _s_minus_pow(value.k))
-                    assert ratfunc_structure(value.ratfunc()) == ratfunc_structure(expected)
-
-
-def test_ratfunc_above_the_degree_bound_keeps_its_factor():
-    # above GCD_DEGREE_BOUND neither path takes a GCD, so s - 1 stays in both parts
-    big = naive_mul(LaurentPoly(SA, {(GCD_DEGREE_BOUND, 1): 1, (0, 0): 3}), S_LESS_1)
-    value = DubVal(big, 2)
-    assert value.k == 2
-    got = value.ratfunc()
-    expected = RatFunc(value.num, _s_minus_pow(2))
-    assert ratfunc_structure(got) == ratfunc_structure(expected)
-    assert exact_divide(got.den, S_LESS_1) is not None
-    assert exact_divide(got.num, S_LESS_1) is not None
+    for _ in range(30):
+        terms = dict(random_poly(rng, z_span=(-k, 4)).terms)
+        terms[rng.randint(-2, 2), -k] = rng.choice([-2, 1, 3])
+        value = DubVal(LaurentPoly(AZ, terms))
+        assert value.k == k
+        assert_print_form(value)
+        expected = RatFunc(value.num, _s_minus_pow(value.k))
+        assert ratfunc_structure(value.ratfunc()) == ratfunc_structure(expected)
 
 
 def test_engine_values_print_as_before():
     engine = KauffmanEngine()
     for word in ([1, 1, 1], [1, -2, 1, -2], [1, 1, 2, -1, 2, 2], [1, 2, 1, 2, 1, 2, 1]):
         value = engine.value(braid_closure(parse_diagram(f"braid:3:{word}")))
+        assert_print_form(value)
         expected = RatFunc(value.num, _s_minus_pow(value.k))
         assert ratfunc_structure(value.ratfunc()) == ratfunc_structure(expected)
 
