@@ -25,7 +25,8 @@ subcommand rejects a flag it would ignore (exit 2), so no accepted flag
 is silently without effect.  The budget counts nodes over an engine's
 lifetime: one engine per ``invariant`` invocation, one per ``verify``
 suite.  No environment variables or config files are consulted, so
-identical invocations print identical bytes.
+identical ``invariant`` and ``table`` invocations print identical bytes;
+``verify`` does not, since every line it prints carries its wall time.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 budget exceeded.
 """

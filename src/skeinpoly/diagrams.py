@@ -36,11 +36,17 @@ every surgery of a well-formed diagram does.
 Canonical keys are minimal breadth-first codes over the starts of each
 connected part.  The code from a start (crossing, under-slot rotation)
 reads each crossing's four labels in the order the search meets them;
-its entry 0 depends on the start alone, so only the starts of least
-entry 0 are encoded (in an oriented part where no edge returns to its
-own crossing: the starts at the crossings of least sign).  This cuts
-the candidate starts by an invariant before the search, as in McKay and
-Piperno, "Practical graph isomorphism II" (2014), and keeps every key.
+its entry 0 depends on the start alone.  Two start rules follow:
+
+* an oriented part with no edge back to its own crossing has the same
+  entry 0 from every start but for the sign, so only the starts at its
+  crossings of least sign are encoded;
+* every other part encodes all 2n starts (n crossings, two rotations).
+
+The first rule cuts the candidate starts by an invariant before the
+search, as in McKay and Piperno, "Practical graph isomorphism II"
+(2014), and keeps every key.  The engines strip every curl before they
+key a part, so their oriented parts all take the first rule.
 
 Diagrams are immutable; all operations return new diagrams and are safe
 to call concurrently.
@@ -373,10 +379,11 @@ def braid_closure(b: BraidWord) -> LinkDiagram:
     """Trace closure of a braid word, oriented all-downward.
 
     Strand i at the bottom reconnects to strand i at the top; untouched
-    strands close into free loops.  Blackboard framing is the one implied
-    by the diagram.
+    strands close into free loops, counted without a list entry each
+    beyond the last strand a generator touches.  Blackboard framing is the
+    one implied by the diagram.
     """
-    n = b.strands
+    n = max((abs(g) + 1 for g in b.word), default=0)
     current = list(range(n))
     top = list(current)
     next_edge = n
@@ -395,7 +402,7 @@ def braid_closure(b: BraidWord) -> LinkDiagram:
             crossings.append((right, left, out_left, out_right))
             signs.append(-1)
         current[i], current[i + 1] = out_left, out_right
-    loops = 0
+    loops = b.strands - n
     rename = {}
     for i in range(n):
         if current[i] == top[i]:
@@ -910,38 +917,18 @@ def _encode_from(opp, signs, start_ci, start_rot, best=None):
     return tuple(code)
 
 
-def _first_entry(d: LinkDiagram, ci, rot):
-    """Entry 0 of the code from start (ci, rot): its own slots' labels and sign."""
-    opp = d.opp()
-    lab = {}
-    entry = []
-    for k in range(4):
-        t = 4 * ci + ((rot + k) & 3)
-        label = lab.get(t)
-        if label is None:
-            label = lab[t] = lab[opp[t]] = len(lab) // 2
-        entry.append(label)
-    if d.signs is not None:
-        entry.append(d.signs[ci])
-    return tuple(entry)
-
-
 def _part_code(d: LinkDiagram):
     """The minimal code of a connected diagram over its starts.
 
     A code is compared entry by entry and its entry 0 depends on the start
-    alone, so only the starts of least entry 0 can give the minimum; the
-    others are never encoded.  A crossing with no edge back to itself has
-    entry 0 (0, 1, 2, 3), then its sign, from either rotation; at any
-    other crossing a label repeats, which makes entry 0 smaller.
+    alone, so only the starts of least entry 0 can give the minimum.  In an
+    oriented part with no edge back to its own crossing, entry 0 is
+    (0, 1, 2, 3) then the sign, from every start, so only the starts at
+    the crossings of least sign are encoded.  Every other part encodes all
+    of its starts.
     """
     opp = d.opp()
-    looped = sorted({t >> 2 for t, u in enumerate(opp) if t >> 2 == u >> 2})
-    if looped:
-        firsts = {(ci, rot): _first_entry(d, ci, rot) for ci in looped for rot in (0, 2)}
-        least = min(firsts.values())
-        starts = [start for start, first in firsts.items() if first == least]
-    elif d.signs is not None:
+    if d.signs is not None and all(t >> 2 != u >> 2 for t, u in enumerate(opp)):
         low = min(d.signs)
         starts = [(ci, rot) for ci, s in enumerate(d.signs) if s == low for rot in (0, 2)]
     else:

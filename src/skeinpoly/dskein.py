@@ -49,8 +49,8 @@ def _sigma(terms):
     return LaurentPoly(("sp", "sm"), terms)
 
 
-#: Skein vectors in the basis (U, T^-2, T^-1, Id, T, T^2) of the
-#: two-strand module map space; stored exactly as printed.
+#: The (T3) skein vector in the basis (U, T^-2, T^-1, Id, T, T^2) of
+#: the two-strand module map space; stored exactly as printed.
 T3_VECTOR = (
     4 * SP_MINUS_SM,
     _sigma({(0, 0): 1}),
@@ -58,15 +58,6 @@ T3_VECTOR = (
     _sigma({(0, 0): 1, (1, 0): -2, (0, 1): 1}),
     _sigma({(0, 0): -1, (1, 0): -1, (0, 1): 2}),
     _sigma({(0, 0): -2, (0, 1): 1}),
-)
-
-ROT_T2_VECTOR = (
-    _sigma({(0, 0): 1}) - 2 * SP_MINUS_SM,
-    _sigma({}),
-    _sigma({(0, 0): -2, (0, 1): 1}),
-    _sigma({(0, 0): -1}) + 2 * SP_MINUS_SM,
-    _sigma({(0, 0): 2, (0, 1): -1}),
-    _sigma({(0, 0): 1}),
 )
 
 
@@ -272,8 +263,13 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
 
 _TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?[0-9]+)", re.ASCII)
 
+#: Deepest nesting of frame/connsum that ``parse_family`` accepts; the
+#: parser, ``qtilde`` and ``family_to_text`` recurse once per level.
+MAX_FAMILY_DEPTH = 200
+
 
 def parse_family(text: str):
+    """The family expression in text; ParseError if malformed or nested too deep."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -306,8 +302,11 @@ def parse_family(text: str):
         take()
         return int(tok)
 
-    def parse_expr():
+    def parse_expr(depth):
         tok, at = tokens[idx]
+        if depth > MAX_FAMILY_DEPTH:
+            raise ParseError(f"family expression nested deeper than {MAX_FAMILY_DEPTH}",
+                             position=at)
         if tok == "torus2":
             take()
             take("(")
@@ -317,7 +316,7 @@ def parse_family(text: str):
         if tok == "frame":
             take()
             take("(")
-            child = parse_expr()
+            child = parse_expr(depth + 1)
             take(",")
             k = parse_int()
             take(")")
@@ -325,14 +324,14 @@ def parse_family(text: str):
         if tok == "connsum":
             take()
             take("(")
-            left = parse_expr()
+            left = parse_expr(depth + 1)
             take(",")
-            right = parse_expr()
+            right = parse_expr(depth + 1)
             take(")")
             return ConnSum(left, right)
         raise ParseError(f"expected a family expression, found {tok!r}", position=at)
 
-    expr = parse_expr()
+    expr = parse_expr(0)
     if peek() is not None:
         raise ParseError(f"trailing input {peek()!r}", position=tokens[idx][1])
     return expr

@@ -112,8 +112,13 @@ def h_adjoint(d: dg.LinkDiagram, engine: HomflyEngine | None = None) -> LaurentP
 
     Blackboard framing of the given diagram is used; pre-apply add_kinks
     for any other framing.  The result never involves lam because every
-    antiparallel cable has total writhe zero.
+    antiparallel cable has total writhe zero.  Of the 2^n terms of an
+    n-component link, all but the empty one cost at least one node, so
+    ResourceLimit comes before any cable is built when they cannot fit.
     """
+    engine = engine or _default_engine
+    if d.signs is not None or not d.crossings:          # else the expansion raises Unoriented
+        engine._reserve(2, d.num_components(), empty=1)
     total = LaurentPoly.const(0, ("v", "z"))
     for sign, term in dg.homfly_adjoint_expansion(d):
         h = framed_h(term, engine)

@@ -176,7 +176,10 @@ class LaurentPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        # Hash must ignore padding variables with all-zero exponents.
+        # A constant equals its value; otherwise padding variables with
+        # all-zero exponents must not change the hash.
+        if self.is_const():
+            return hash(self.const_value())
         return hash(self.drop_trivial_vars().key())
 
     def drop_trivial_vars(self):
@@ -765,10 +768,14 @@ class RatFunc:
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):
-        # Hash what a common factor of num and den cannot change: a product's
-        # largest (smallest) exponent of a variable is the sum of its factors'.
-        if self.num.is_zero():
-            return hash(0)
+        # A value that is a Laurent polynomial hashes as that LaurentPoly
+        # (and so as the number it equals, when constant).  Any other value
+        # hashes what a common factor of num and den cannot change: a
+        # product's largest (smallest) exponent of a variable is the sum of
+        # its factors'.
+        quotient = exact_divide(self.num, self.den)
+        if quotient is not None:
+            return hash(quotient)
         num, den = self.num.terms, self.den.terms
         shape = []
         for i, name in enumerate(self.num.vars):

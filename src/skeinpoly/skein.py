@@ -43,7 +43,8 @@ class SkeinEngine:
     """A memoized evaluator; reusable across calls and shareable.
 
     ``memo=False`` disables caching (for equivalence tests), ``budget``
-    bounds the number of recursion nodes over the engine's lifetime, and
+    bounds the number of recursion nodes over the engine's lifetime (and
+    a diagram with more free loops than the budget raises at once), and
     ``rng`` (a random.Random) randomizes the walk order at every node,
     which must not change any value.  ``nodes`` counts the nodes of the
     last public call, ``lifetime_nodes`` those of every call so far.
@@ -69,12 +70,28 @@ class SkeinEngine:
             sys.setrecursionlimit(100000)
         return self._eval(d)
 
+    def _limit(self, why=""):
+        return ResourceLimit(f"node budget {self.budget} exceeded{why}",
+                             nodes=self.lifetime_nodes, memo_size=len(self.memo))
+
     def _tick(self):
         self.nodes += 1
         self.lifetime_nodes += 1
         if self.lifetime_nodes > self.budget:
-            raise ResourceLimit(f"node budget {self.budget} exceeded",
-                                nodes=self.lifetime_nodes, memo_size=len(self.memo))
+            raise self._limit()
+
+    def _reserve(self, base, n, empty=0):
+        """Raise ResourceLimit now if base**n - empty engine calls cannot fit in the budget.
+
+        For a sum of base**n terms, all but ``empty`` of which call the
+        engine.  Each call costs at least one node, so more calls than the
+        unspent budget must end in ResourceLimit.  With base >= 2, base**n
+        passes the budget once n passes its bit length, so no huge power
+        is computed.
+        """
+        unspent = self.budget - self.lifetime_nodes + empty
+        if n > unspent.bit_length() or base ** n > unspent:
+            raise self._limit(f": {base}^{n} terms")
 
     def _eval(self, d: dg.LinkDiagram):
         self._tick()
@@ -94,6 +111,8 @@ class SkeinEngine:
             else:
                 break                       # nothing left to strip
         loops = d.free_loops
+        if loops > self.budget:                 # no node count bounds building delta^loops
+            raise self._limit(f" by {loops} free loops")
         if loops:
             d = dg.LinkDiagram._trusted(d.crossings, d.signs, 0)
         parts = dg.connected_parts(d) if d.crossings else []

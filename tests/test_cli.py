@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_fresh(*argv, timeout):
+    """The CLI in a new interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "skeinpoly.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_invariant_qtilde(capsys):
     code, out, _ = run(capsys, "invariant", "qtilde", "torus2(3)")
     assert code == 0
@@ -117,6 +126,26 @@ def test_budget_exit_code(capsys):
     # 1e3 still means 1000 nodes
     code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "1e3")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # delta^L for L free loops: no node count bounded building it
+    (["homfly", "O:" + "9" * 20, "--budget", "1000"], 3),
+    (["kauffman", "O:" + "9" * 20, "--budget", "1000"], 3),
+    # one list entry per strand ran out of memory
+    (["homfly", "braid:99999999999999:[1]"], 3),
+    # 3^12 and 2^40 cable terms, all built before the first node
+    (["kauffman-ad", "O:12", "--budget", "1000"], 3),
+    (["homfly-ad", "O:40", "--budget", "1000"], 3),
+    # RecursionError in the family parser
+    (["qtilde", "frame(" * 1200 + "torus2(1)" + ",1)" * 1200], 2),
+    (["qtilde", "connsum(torus2(1)," * 1200 + "torus2(1)" + ")" * 1200], 2),
+], ids=["homfly-loops", "kauffman-loops", "braid-strands", "kauffman-ad-terms",
+        "homfly-ad-terms", "nested-frames", "nested-sums"])
+def test_every_call_bounded_and_without_traceback(argv, expected):
+    code, out, err = run_fresh("invariant", *argv, timeout=20)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_budget_must_be_finite_and_not_negative(capsys):
@@ -231,11 +260,8 @@ def test_parser_reuse_prints_fresh_bytes(capsys):
     capsys.readouterr()
     argv = ["table", "qtilde-torus", "-2..2", "--json"]
     code, out, err = run(capsys, *argv)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    fresh = subprocess.run([sys.executable, "-m", "skeinpoly.cli", *argv], env=env,
-                           capture_output=True, text=True, timeout=120)
-    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr) == (0, fresh.stdout, "")
+    fresh = run_fresh(*argv, timeout=120)
+    assert (code, out, err) == fresh == (0, fresh[1], "")
 
 
 def test_flags_only_where_read(capsys):

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from skeinpoly.dskein import (
+    MAX_FAMILY_DEPTH,
     ConnSum,
     FramingShift,
-    ROT_T2_VECTOR,
     T3_VECTOR,
     Torus2,
     _half,
@@ -65,13 +65,6 @@ def test_forward_backward_round_trip():
             - t3[3] * i_value(n) - t3[4] * i_value(n + 1) - t3[5] * i_value(n + 2)
         assert forward == i_value(n + 3)
         assert backward == i_value(n - 2)
-
-
-def test_rot2_vector_entries():
-    rot2 = ROT_T2_VECTOR
-    assert rot2[0] == LaurentPoly.const(1, ("sp", "sm")) - 2 * SP_MINUS_SM
-    assert rot2[1].is_zero()
-    assert rot2[5] == LaurentPoly.const(1, ("sp", "sm"))
 
 
 def test_torus_values_printed():
@@ -169,6 +162,21 @@ def test_family_parser():
         parse_family("torus2(3) extra")
     with pytest.raises(ParseError):
         parse_family("frame(torus2(1)")
+
+
+def test_family_nesting_limit():
+    # MAX_FAMILY_DEPTH levels parse, print and evaluate; one more is a ParseError
+    depth = MAX_FAMILY_DEPTH
+    text = "connsum(torus2(1)," * depth + "torus2(1)" + ")" * depth
+    tree = parse_family(text)
+    assert family_to_text(tree) == text
+    assert qtilde(tree) == LaurentPoly.const(depth + 1, ("sp", "sm"))
+    assert qtilde(parse_family("frame(" * depth + "torus2(1)" + ",1)" * depth)) \
+        == LaurentPoly.const(depth + 1, ("sp", "sm"))
+    for deeper in ("frame(" * (depth + 1) + "torus2(1)" + ",1)" * (depth + 1),
+                   "connsum(torus2(1)," * (depth + 1) + "torus2(1)" + ")" * (depth + 1)):
+        with pytest.raises(ParseError, match=f"nested deeper than {depth}"):
+            parse_family(deeper)
 
 
 # With the recursion limit a few dozen frames above the starting depth,

@@ -101,6 +101,19 @@ def test_equal_ratfuncs_hash_equal():
         assert x == y and hash(x) == hash(y)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: (LaurentPoly.const(5), 5),
+    lambda: (RatFunc(5), 5),
+    lambda: (RatFunc(V("s")), V("s")),
+    lambda: (LaurentPoly.const(Fraction(1, 2)), Fraction(1, 2)),
+    lambda: (DeltaSeries.const(5), 5),
+], ids=["poly-const-int", "ratfunc-int", "ratfunc-poly", "poly-const-fraction", "series-int"])
+def test_equal_values_hash_equal_across_types(make):
+    x, y = make()
+    assert x == y and y == x
+    assert hash(x) == hash(y) and len({x, y}) == 1
+
+
 def test_monomial_negative_power():
     m = LaurentPoly(("v", "z"), {(2, -1): Fraction(3, 2)})
     inv = m ** -1
