@@ -33,6 +33,7 @@ from .rings import (
     RatFunc,
     exact_divide,
     limit_order2_at_v1,
+    psi_series,
     validate_sigma_poly,
 )
 from .skein import DEFAULT_BUDGET, SkeinEngine  # noqa: F401  (DEFAULT_BUDGET re-exported)
@@ -165,10 +166,7 @@ def conjecture_sides(d: dg.LinkDiagram, qtilde_value: LaurentPoly,
     if quotient is None:
         raise InexactDivision("the invariant value is not divisible by (sp - sm)",
                               remainder=q)
-    z2p3 = LaurentPoly(("z",), {(2,): 1, (0,): 3})
-    collapsed = LaurentPoly.const(0, ("z",))
-    for (i, j), c in quotient.with_vars(("sp", "sm")).terms.items():
-        collapsed = collapsed + z2p3 ** (i + j) * c
+    collapsed = psi_series(quotient, 1).coefficient(0)       # sp = sm = z^2 + 3
     z2 = LaurentPoly(("z",), {(2,): 1})
     rhs = RatFunc(LaurentPoly.const(-2 * v2(d, engine), ("z",))) - RatFunc(collapsed, z2)
     return lhs, rhs

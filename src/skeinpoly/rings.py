@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import comb, gcd as _int_gcd
 from operator import add as _add
 
 from .errors import (
@@ -935,12 +935,8 @@ def exact_div_linear(p: RatFunc, var_pair=("a", "s")):
     witness being the input evaluated on a = s.
     """
     x, y = var_pair
-    num, den = align(p.num, p.den)
-    merged = tuple(sorted(set(num.vars) | {x, y}, key=_ALPHABET_INDEX.get))
-    num = num.with_vars(merged)
-    den = den.with_vars(merged)
-    lin = (LaurentPoly.var(x) - LaurentPoly.var(y)).with_vars(merged)
-    num, den = _cancel_common(num, den, lin)
+    lin = LaurentPoly.var(x) - LaurentPoly.var(y)
+    num, den = _cancel_common(p.num, p.den, lin)
     qn = exact_divide(num, lin)
     den_on = _collapse_linear(den, x, y)
     if qn is None or den_on.is_zero():
@@ -988,13 +984,9 @@ def limit_order2_at_v1(p: RatFunc) -> RatFunc:
     rational function of z alone (a Laurent polynomial whenever the input
     denominator is a unit at v = 1).
     """
-    num, den = align(p.num, p.den)
-    if "v" not in num.vars:
-        num = num.with_vars(tuple(sorted(set(num.vars) | {"v"}, key=_ALPHABET_INDEX.get)))
-        den = den.with_vars(num.vars)
-    vminus1 = LaurentPoly(("v",), {(1,): 1, (0,): -1}).with_vars(num.vars)
+    vminus1 = LaurentPoly(("v",), {(1,): 1, (0,): -1})
     # cancel common (v-1) factors so a removable singularity is not fatal
-    b_num, den = _cancel_common(num - den, den, vminus1)
+    b_num, den = _cancel_common(p.num - p.den, p.den, vminus1)
     den_at_1 = den.subs_int("v", 1)
     if den_at_1.is_zero():
         raise OrderTooLow("denominator vanishes at v=1", surviving=den)
@@ -1142,94 +1134,70 @@ def series_from_json(obj):
         raise ParseError(f"bad series JSON: {exc}") from exc
 
 
-def _exp_series(rate: Fraction, order: int) -> DeltaSeries:
-    """exp(rate * d) truncated."""
-    out = {}
-    term = Fraction(1)
-    for k in range(order):
-        if term != 0:
-            out[k] = LaurentPoly.const(term, ("z",))
-        term = term * rate / (k + 1)
-    return DeltaSeries(order, out)
-
-
 def series_exp_v(p: RatFunc, order=DELTA_DEFAULT_ORDER) -> DeltaSeries:
     """Expand a rational function of (v, z) by substituting v = exp(-d/2).
 
-    z stays formal.  Raises PoleAtOne when the denominator vanishes at
+    Each term c v^e z^f of the numerator or the denominator adds
+    c (-e/2)^k / k! z^f to its d^k coefficient; ``_series_divide`` then
+    divides the two.  z stays formal.  Raises ValidationError for any
+    variable but v and z, PoleAtOne when the denominator vanishes at
     v = 1, and refuses denominators whose value at v = 1 is not a unit
     monomial in z (the coefficients would leave the Laurent ring).
     """
-    num, den = align(p.num, p.den)
-    target = tuple(sorted(set(num.vars) | {"v", "z"}, key=_ALPHABET_INDEX.get))
-    if set(target) - {"v", "z"}:
-        raise ValidationError(f"series_exp_v expects variables in (v, z); got {num.vars}")
-    num = num.with_vars(("v", "z"))
-    den = den.with_vars(("v", "z"))
-    if den.subs_int("v", 1).is_zero():
-        raise PoleAtOne("denominator vanishes at v=1")
+    if order < 1:
+        raise ValidationError("series order must be >= 1")
+    factors = {}                # e -> [(-e/2)^k / k! for k < order]
 
-    def expand(poly):
-        total = DeltaSeries(order, {})
-        cache = {}
-        for (ev, ez), c in poly.terms.items():
-            if ev not in cache:
-                cache[ev] = _exp_series(Fraction(-ev, 2), order)
-            mono = LaurentPoly(("z",), {(ez,): c})
-            contrib = DeltaSeries(order, {k: coeff * mono for k, coeff in cache[ev].coeffs.items()})
-            total = total + contrib
-        return total
+    def coefficients(poly):
+        out = [{} for _ in range(order)]
+        for (e, f), c in poly.with_vars(("v", "z")).terms.items():
+            if e not in factors:
+                factor, factors[e] = Fraction(1), []
+                for k in range(order):
+                    factors[e].append(factor)
+                    factor = factor * -e / (2 * (k + 1))
+            for coeff, factor in zip(out, factors[e]):
+                coeff[(f,)] = coeff.get((f,), 0) + c * factor
+        return [LaurentPoly(("z",), coeff) for coeff in out]
 
-    num_s = expand(num)
-    den_s = expand(den)
-    return _series_divide(num_s, den_s)
+    quotient = _series_divide(coefficients(p.num), coefficients(p.den))
+    return DeltaSeries(order, dict(enumerate(quotient)))
 
 
-def _series_divide(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
-    order = min(a.order, b.order)
-    lead = b.coefficient(0)
+def _series_divide(a, b):
+    """The coefficients c_k = (a_k - sum_{j=1..k} b_j c_{k-j}) / b_0 of a / b.
+
+    a and b list the d^k coefficients of two series to one order; b_0 must
+    be a unit monomial in z.
+    """
+    lead = b[0]
     if lead.is_zero():
-        raise PoleAtOne("series division by a series with zero constant term")
+        raise PoleAtOne("denominator vanishes at v=1")
     if len(lead.terms) != 1:
         raise ValidationError(
             "series denominator is not a unit at v=1; coefficients would not be Laurent in z")
-    (exps, c), = lead.terms.items()
-    inv_lead = LaurentPoly(("z",), {tuple(-e for e in exps): _norm_coeff(Fraction(1) / Fraction(c))})
-    out = {}
-    residue = DeltaSeries(order, dict(a.coeffs))
-    for k in range(order):
-        ck = residue.coefficient(k) * inv_lead
-        if not ck.is_zero():
-            out[k] = ck
-            sub = DeltaSeries(order, {k: ck}) * b
-            residue = residue - sub
-    return DeltaSeries(order, out)
+    inv_lead = lead ** -1
+    c = []
+    for k, ak in enumerate(a):
+        for j in range(1, k + 1):
+            if b[j].terms and c[k - j].terms:
+                ak = ak - b[j] * c[k - j]
+        c.append(ak * inv_lead)
+    return c
 
 
 def psi_series(p: LaurentPoly, order=2) -> DeltaSeries:
     """Truncated image of an sp/sm polynomial under the degeneration map.
 
     Substitutes sp -> (z^2+3) - (d/2) z^2 and sm -> (z^2+3) + (d/2) z^2,
-    computed modulo d^order (default d^2).
+    computed modulo d^order (default d^2): the d^k coefficient of
+    sp^i sm^j is (z^2/2)^k (z^2+3)^(i+j-k) sum_m (-1)^m C(i, m) C(j, k-m).
     """
-    p = validate_sigma_poly(p)
     base = LaurentPoly(("z",), {(2,): 1, (0,): 3})
-    half_z2 = LaurentPoly(("z",), {(2,): Fraction(1, 2)})
-    sp_img = DeltaSeries(order, {0: base, 1: -half_z2})
-    sm_img = DeltaSeries(order, {0: base, 1: half_z2})
-    total = DeltaSeries(order, {})
-    pow_cache = {}
-
-    def power(img, tag, k):
-        key = (tag, k)
-        if key not in pow_cache:
-            acc = DeltaSeries.const(1, order)
-            for _ in range(k):
-                acc = acc * img
-            pow_cache[key] = acc
-        return pow_cache[key]
-
-    for (i, j), c in p.terms.items():
-        term = power(sp_img, "p", i) * power(sm_img, "m", j)
-        total = total + DeltaSeries(order, {k: v * c for k, v in term.coeffs.items()})
-    return total
+    coeffs = [LaurentPoly(("z",), {}) for _ in range(order)]
+    for (i, j), c in validate_sigma_poly(p).terms.items():
+        for k in range(min(order, i + j + 1)):
+            w = sum((-1) ** m * comb(i, m) * comb(j, k - m) for m in range(k + 1))
+            if w:
+                coeffs[k] += base ** (i + j - k) * LaurentPoly(("z",), {(2 * k,): Fraction(c * w, 2 ** k)})
+    return DeltaSeries(order, dict(enumerate(coeffs)))
