@@ -56,6 +56,8 @@ from .rings import (
     series_exp_v,
     specialize,
     _BLANKS,
+    _long_str,
+    _text_int,
 )
 
 VALUE_JSON_FORMAT = "skeinpoly-value/1"
@@ -85,7 +87,7 @@ def _value_to_json(value):
     if isinstance(value, DeltaSeries):
         return {"type": "series", "value": value.to_json()}
     c = Fraction(value)
-    return {"type": "rational", "value": {"num": str(c.numerator), "den": str(c.denominator)}}
+    return {"type": "rational", "value": {"num": _long_str(c.numerator), "den": _long_str(c.denominator)}}
 
 
 def _parse_link_input(text):
@@ -131,14 +133,16 @@ def _cmd_invariant(args):
     return EXIT_OK
 
 
-_RANGE_END = re.compile(r"[+-]?[0-9]+")       # ASCII digits only, unlike int()
+# ASCII digits only: int() and float() also take other digits and underscores
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+_ASCII_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _cmd_table(args):
     ends = [end.strip(_BLANKS) for end in args.range.split("..", 1)]
-    if len(ends) != 2 or not all(_RANGE_END.fullmatch(end) for end in ends):
+    if len(ends) != 2 or not all(_ASCII_INT.fullmatch(end) for end in ends):
         raise ParseError(f"bad range {args.range!r}; expected like -3..3")
-    lo, hi = map(int, ends)
+    lo, hi = (_text_int(end, "range end") for end in ends)
     if args.kind == "i-values":
         rows = [(n, dskein.i_value(n)) for n in range(lo, hi + 1)]
     elif args.kind == "qtilde-torus":
@@ -423,10 +427,8 @@ def _cmd_verify(args):
 
 def _budget(text):
     """A budget such as 5000 or 1e3: finite, not negative, rounded down."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    number = text.strip(_BLANKS)
+    value = float(number) if _ASCII_FLOAT.fullmatch(number) else math.nan
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"budget must be a finite number >= 0, not {text!r}")
     return int(value)
@@ -434,9 +436,10 @@ def _budget(text):
 
 def _order(text):
     """A series truncation order: an integer >= 1."""
+    number = text.strip(_BLANKS)
     try:
-        value = int(text)
-    except ValueError:
+        value = int(number) if _ASCII_INT.fullmatch(number) else 0
+    except ValueError:          # more digits than int() converts
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"series order must be an integer >= 1, not {text!r}")

@@ -66,7 +66,7 @@ from .errors import (
     Unoriented,
     ValidationError,
 )
-from .rings import LaurentPoly, RatFunc, _BLANKS, _json_int
+from .rings import LaurentPoly, RatFunc, _BLANKS, _json_int, _text_int
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def parse_diagram(text):
     text = text.strip(_BLANKS)
     m = _BRAID_RE.match(text)
     if m:
-        n = int(m.group(1))
+        n = _text_int(m.group(1), "strand count")
         body = m.group(2).strip(_BLANKS)
         try:
             word = [int(t) for t in body.split(",")] if body else []
@@ -298,7 +298,7 @@ def parse_diagram(text):
         if item:
             m = _CROSSING_RE.match(item)
             if m:
-                crossings.append(tuple(int(m.group(i)) for i in range(2, 6)))
+                crossings.append(tuple(_text_int(m.group(i), "edge", pos) for i in range(2, 6)))
                 if m.group(1):
                     has_sign = True
                     signs.append(1 if m.group(1) == "+" else -1)
@@ -308,7 +308,7 @@ def parse_diagram(text):
                 m = _LOOPS_RE.match(item)
                 if not m:
                     raise ParseError(f"unrecognized item {item!r}", position=pos)
-                loops += int(m.group(1))
+                loops += _text_int(m.group(1), "loop count", pos)
         pos += len(raw) + 1
     if has_sign and has_plain:
         raise ParseError("mix of oriented X+/X- and unoriented X crossings")

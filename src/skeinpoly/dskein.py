@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimit, ValidationError
-from .rings import LaurentPoly, _BLANKS
+from .rings import LaurentPoly, _BLANKS, _text_int
 
 SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
 
@@ -300,7 +300,7 @@ def parse_family(text: str):
         if tok is None or not re.fullmatch(r"-?[0-9]+", tok):
             raise ParseError(f"expected an integer, found {tok!r}", position=at)
         take()
-        return int(tok)
+        return _text_int(tok, "integer", at)
 
     def parse_expr(depth):
         tok, at = tokens[idx]

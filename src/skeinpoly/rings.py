@@ -384,9 +384,9 @@ def align(a: LaurentPoly, b: LaurentPoly):
 # earlier alphabet variable wins ties.  ``_sorted_exps`` produces this order
 # with C-level tuple comparisons (a descending sort, then a stable sort on
 # the total degree); ``_term_sort_key`` is the same order as one key, for
-# the leading-term lookups.  Coefficients print as "n" or "n/d"; variables
-# with exponent zero are omitted; exponent one prints bare.  The zero
-# polynomial prints as "0".  The format is bit-stable.
+# the leading-term lookups.  Coefficients print as "n" or "n/d" at any
+# length; variables with exponent zero are omitted; exponent one prints
+# bare.  The zero polynomial prints as "0".  The format is bit-stable.
 # --------------------------------------------------------------------------
 
 def _term_sort_key(exps):
@@ -400,6 +400,14 @@ def _sorted_exps(terms):
 
 
 def poly_to_text(p: LaurentPoly) -> str:
+    try:
+        return _poly_text(p, str)
+    except ValueError:          # a coefficient beyond str()'s digit limit
+        return _poly_text(p, _long_str)
+
+
+def _poly_text(p, decimal):
+    """poly_to_text, printing each integer with decimal."""
     p = p.drop_trivial_vars()
     terms = p.terms
     if not terms:
@@ -417,7 +425,7 @@ def poly_to_text(p: LaurentPoly) -> str:
         if c == 1 and mono:
             pieces.append(sign + mono)
         else:
-            num = str(c) if type(c) is int else f"{c.numerator}/{c.denominator}"
+            num = decimal(c) if type(c) is int else f"{decimal(c.numerator)}/{decimal(c.denominator)}"
             pieces.append(f"{sign}{num}*{mono}" if mono else sign + num)
     head = pieces[0]
     pieces[0] = "-" + head[3:] if head[1] == "-" else head[3:]
@@ -425,12 +433,20 @@ def poly_to_text(p: LaurentPoly) -> str:
 
 
 def poly_to_json(p: LaurentPoly) -> dict:
+    try:
+        return _poly_json(p, str)
+    except ValueError:          # a coefficient beyond str()'s digit limit
+        return _poly_json(p, _long_str)
+
+
+def _poly_json(p, decimal):
+    """poly_to_json, printing each integer with decimal."""
     p = p.drop_trivial_vars()
     terms = []
     for exps in _sorted_exps(p.terms):
         c = p.terms[exps]
         num, den = (c, 1) if type(c) is int else (c.numerator, c.denominator)
-        terms.append({"exp": list(exps), "num": str(num), "den": str(den)})
+        terms.append({"exp": list(exps), "num": decimal(num), "den": decimal(den)})
     return {"vars": list(p.vars), "terms": terms}
 
 
@@ -439,6 +455,55 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 #: The blanks of every text format: ASCII whitespace, for ``str.strip``
 #: (``\s`` matches the same set under ``re.ASCII``).
 _BLANKS = " \t\n\r\v\f"
+
+#: The most digits an integer of text input (a diagram, a family
+#: expression, a table range) may have: Python's default limit for int().
+MAX_TEXT_DIGITS = 4300
+
+#: Digits per piece when an int is converted in pieces: below 640, the
+#: least limit that sys.set_int_max_str_digits accepts.
+_PIECE_DIGITS = 600
+
+
+def _text_int(token, what, position=None):
+    """The int an ASCII decimal token of text input writes, at most MAX_TEXT_DIGITS digits."""
+    if len(token.lstrip("+-")) > MAX_TEXT_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_TEXT_DIGITS} digits", position=position)
+    return int(token)
+
+
+def _long_str(n):
+    """The decimal text of an int of any length.
+
+    str() refuses an int beyond the interpreter's digit limit (4,300 by
+    default); such an int prints in pieces of _PIECE_DIGITS digits.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    unit = 10 ** _PIECE_DIGITS
+    pieces = []
+    while n >= unit:
+        n, low = divmod(n, unit)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    pieces.append(str(n))
+    return sign + "".join(reversed(pieces))
+
+
+def _long_int(text):
+    """The int written by a decimal string of any length (the inverse of _long_str)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), _PIECE_DIGITS):
+        piece = digits[i:i + _PIECE_DIGITS]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
 
 
 def _json_int(value, what):
@@ -453,7 +518,7 @@ def _json_decimal(value, what):
     if type(value) is str:
         if not _DECIMAL.fullmatch(value):
             raise ParseError(f"bad JSON: {what} {value!r} is not a decimal integer")
-        return int(value)
+        return _long_int(value)
     return _json_int(value, what)
 
 
@@ -1129,7 +1194,8 @@ class DeltaSeries:
 def series_from_json(obj):
     try:
         return DeltaSeries(_json_int(obj["order"], "series order"),
-                           {int(k): poly_from_json(c) for k, c in obj["coeffs"].items()})
+                           {_json_decimal(k, "series exponent"): poly_from_json(c)
+                            for k, c in obj["coeffs"].items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
 

@@ -148,6 +148,39 @@ def test_every_call_bounded_and_without_traceback(argv, expected):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _nines(template, digits):
+    return [arg.format("9" * digits) for arg in template]
+
+
+@pytest.mark.parametrize("template, at_limit, code_at_limit", [
+    (["invariant", "homfly", "O:{}"], ["invariant", "homfly", "O:{}", "--budget", "1000"], 3),
+    (["invariant", "homfly", "braid:{}:[1]"], ["invariant", "homfly", "braid:{}:[1]"], 3),
+    (["invariant", "homfly", "X[{},1,2,3]"], ["invariant", "homfly", "X[{},1,2,3]"], 2),
+    (["invariant", "qtilde", "torus2({})"], ["invariant", "qtilde", "torus2({})", "--budget", "1000"], 3),
+    (["table", "i-values", "0..{}"], ["table", "i-values", "{}..0"], 0),
+], ids=["loops", "strands", "edge", "family", "range"])
+def test_text_integers_longer_than_4300_digits_exit_2(capsys, template, at_limit, code_at_limit):
+    # int() refuses such text with a ValueError, which used to end in a traceback
+    code, out, err = run_fresh(*_nines(template, 5000), timeout=60)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "more than 4300 digits" in err and "Traceback" not in err
+    # 4,300 digits still parse: the same input goes on to its budget or its own check
+    code, _, err = run(capsys, *_nines(at_limit, 4300))
+    assert code == code_at_limit and "digits" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--truncate", "\u0663"), ("--truncate", "1_0"),
+    ("--budget", "\u0661\u0660\u0660\u0660"), ("--budget", "1_000"),
+], ids=["truncate-arabic-indic", "truncate-underscore", "budget-arabic-indic", "budget-underscore"])
+def test_flag_numbers_are_ascii(capsys, flag, value):
+    # int() and float() also take non-ASCII digits and underscores
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", "homfly", "braid:2:[1,1,1]", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert ("series order must be" if flag == "--truncate" else "budget must be") in capsys.readouterr().err
+
+
 def test_budget_must_be_finite_and_not_negative(capsys):
     for budget in ("1e400", "inf", "-inf", "nan", "-3", "ten"):
         with pytest.raises(SystemExit) as exc:

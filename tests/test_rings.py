@@ -375,6 +375,14 @@ def test_poly_json_rejects_non_integers():
     assert series_from_json(series).to_json() == series
 
 
+def test_series_json_exponents_are_ascii_decimal():
+    # int() also takes these keys: other digits, underscores and blanks
+    series = DeltaSeries(12, {10: LaurentPoly.const(1, ("z",))}).to_json()
+    for key in ("\u0661\u0660", "1_0", " 10", "10.0"):
+        with pytest.raises(ParseError):
+            series_from_json(dict(series, coeffs={key: series["coeffs"]["10"]}))
+
+
 def test_poly_json_round_trip():
     rng = random.Random(55)
     for _ in range(20):
@@ -383,6 +391,22 @@ def test_poly_json_round_trip():
         q = poly_from_json(json.loads(blob))
         assert q == p
         assert json.dumps(poly_to_json(q), sort_keys=True) == blob
+
+
+def test_integers_of_any_length_print_and_round_trip():
+    # str() and int() refuse more than 4,300 digits; values print whole
+    nines = 10 ** 5000 - 1
+    p = LaurentPoly(("v", "z"), {(0, 0): Fraction(-1, nines), (1, 0): nines, (0, 2): -10 ** 5000})
+    text = "9" * 5000
+    assert poly_to_text(p) == f"-1/{text} + {text}*v - 1{'0' * 5000}*z^2"
+    blob = json.dumps(poly_to_json(p), sort_keys=True)
+    assert [(t["num"], t["den"]) for t in json.loads(blob)["terms"]] == [
+        ("-1", text), (text, "1"), ("-1" + "0" * 5000, "1")]
+    q = poly_from_json(json.loads(blob))
+    assert q == p and json.dumps(poly_to_json(q), sort_keys=True) == blob
+    series = DeltaSeries(2, {1: p.subs_int("v", 1)})
+    assert series_from_json(json.loads(json.dumps(series.to_json()))) == series
+    assert text in series.to_text()
 
 
 def test_text_is_stable_across_runs():

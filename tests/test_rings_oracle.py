@@ -5,7 +5,9 @@ Seeded random Laurent polynomials in two and three variables, with
 integers, go through ``rings`` and through sympy; the results must agree
 exactly.  Every ``LaurentPoly`` produced must also meet the class
 invariant: variables in ``ALPHABET`` order, no zero coefficient, each
-coefficient an ``int`` or a non-integral ``Fraction``.
+coefficient an ``int`` or a non-integral ``Fraction``.  The series maps
+``series_exp_v`` and ``psi_series`` are checked against sympy's own
+series expansion and substitution.
 
 sympy is a test-only dependency; without it this module is skipped.
 """
@@ -24,6 +26,8 @@ from skeinpoly.rings import (  # noqa: E402
     exact_divide,
     monomial_content,
     poly_gcd,
+    psi_series,
+    series_exp_v,
 )
 
 VAR_SETS = [("sp", "sm"), ("s", "a"), ("v", "z", "lam")]
@@ -216,3 +220,40 @@ def test_ratfunc_equality_against_sympy():
             assert expected
         assert (r1 == r2) is expected
         assert same(r1.num * d1, to_sympy(r1.den) * to_sympy(n1))
+
+
+D = sympy.Symbol("d")
+
+
+def test_series_exp_v_against_sympy():
+    # denominators z^b + (v - 1) r are a unit monomial in z at v = 1
+    rng = random.Random(1008)
+    v = sympy.Symbol("v")
+    for i in range(6):
+        order = i % 5 + 1
+        num = rand_poly(rng, ("v", "z"), nterms=4, span=2)
+        r = rand_poly(rng, ("v", "z"), nterms=2, span=2)
+        den = (LaurentPoly(("z",), {(rng.randint(-2, 2),): rng.choice((1, -2, 3))})
+               + LaurentPoly(("v",), {(1,): 1, (0,): -1}) * r)
+        got = series_exp_v(RatFunc(num, den), order)
+        expr = (to_sympy(num) / to_sympy(den)).subs(v, sympy.exp(-D / 2))
+        expected = sympy.expand(sympy.series(expr, D, 0, order).removeO())
+        assert got.order == order
+        for k in range(order):
+            assert same(got.coefficient(k), expected.coeff(D, k)), (i, k)
+
+
+def test_psi_series_against_sympy():
+    rng = random.Random(1009)
+    z = sympy.Symbol("z")
+    image = {sympy.Symbol("sp"): z ** 2 + 3 - D / 2 * z ** 2,
+             sympy.Symbol("sm"): z ** 2 + 3 + D / 2 * z ** 2}
+    for i in range(12):
+        order = i % 4 + 1
+        terms = rand_poly(rng, ("sp", "sm"), nterms=5, span=3).terms
+        p = LaurentPoly(("sp", "sm"), {(abs(a), abs(b)): c for (a, b), c in terms.items()})
+        got = psi_series(p, order)
+        expected = sympy.expand(to_sympy(p).subs(image, simultaneous=True))
+        assert got.order == order
+        for k in range(order):
+            assert same(got.coefficient(k), expected.coeff(D, k)), (i, k)
