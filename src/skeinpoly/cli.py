@@ -102,26 +102,20 @@ def _cmd_invariant(args):
     if args.truncate is not None and kind not in ("homfly", "homfly-ad"):
         raise ParseError("--truncate applies to the homfly kinds only")
     memo = args.memo == "on"
-    engine_h = homfly.HomflyEngine(memo=memo, budget=args.budget)
-    engine_k = kauffman.KauffmanEngine(memo=memo, budget=args.budget)
     if kind == "qtilde":
-        if args.memo == "off":
+        if not memo:
             raise ParseError("--memo applies to the skein kinds")
         value = dskein.bounded_qtilde(dskein.parse_family(args.input), args.budget)
     else:
+        engine_class, invariant = {
+            "homfly": (homfly.HomflyEngine, homfly.homfly_p),
+            "homfly-ad": (homfly.HomflyEngine, homfly.h_adjoint),
+            "v2": (homfly.HomflyEngine, homfly.v2),
+            "kauffman": (kauffman.KauffmanEngine, kauffman.kauffman_lambda),
+            "kauffman-ad": (kauffman.KauffmanEngine, kauffman.k_adjoint),
+        }[kind]
         d = _parse_link_input(args.input)
-        if kind == "homfly":
-            value = homfly.homfly_p(d, engine_h)
-        elif kind == "homfly-ad":
-            value = homfly.h_adjoint(d, engine_h)
-        elif kind == "kauffman":
-            value = kauffman.kauffman_lambda(d, engine_k)
-        elif kind == "kauffman-ad":
-            value = kauffman.k_adjoint(d, engine_k)
-        elif kind == "v2":
-            value = homfly.v2(d, engine_h)
-        else:
-            raise ParseError(f"unknown invariant kind {kind!r}")
+        value = invariant(d, engine_class(memo=memo, budget=args.budget))
     if args.truncate is not None:
         value = series_exp_v(RatFunc(value), args.truncate)
     if args.json:
@@ -145,10 +139,8 @@ def _cmd_table(args):
     lo, hi = (_text_int(end, "range end") for end in ends)
     if args.kind == "i-values":
         rows = [(n, dskein.i_value(n)) for n in range(lo, hi + 1)]
-    elif args.kind == "qtilde-torus":
-        rows = [(n, dskein.torus_value(n)) for n in range(lo, hi + 1)]
     else:
-        raise ParseError(f"unknown table kind {args.kind!r}")
+        rows = [(n, dskein.torus_value(n)) for n in range(lo, hi + 1)]
     if args.json:
         blob = {"format": TABLE_JSON_FORMAT, "kind": args.kind,
                 "rows": [{"index": n, "value": poly_to_json(v)} for n, v in rows]}
@@ -209,14 +201,14 @@ def _qtilde_checks():
     def coherence():
         t3 = dskein.T3_VECTOR
         i = dskein.i_value
-        for n in range(-8, 9):
+        for n in range(-12, 13):
             forward = t3[0] + t3[1] * i(n - 2) + t3[2] * i(n - 1) + t3[3] * i(n) \
                 + t3[4] * i(n + 1) + t3[5] * i(n + 2)
             backward = i(n + 3) - t3[0] - t3[2] * i(n - 1) - t3[3] * i(n) \
                 - t3[4] * i(n + 1) - t3[5] * i(n + 2)
             if forward != i(n + 3) or backward != i(n - 2):
                 return False, "recursion == (T3) pairing, both ways", f"mismatch at n={n}"
-        return True, "recursion == (T3) pairing, both ways, for n in [-8,8]", "agrees"
+        return True, "recursion == (T3) pairing, both ways, for n in [-12,12]", "agrees"
 
     checks.append(Check("qtilde/recursion-coherence", coherence))
 

@@ -1057,13 +1057,12 @@ class _CableBuilder:
         self.links.append((p, q))
 
 
-def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
+def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
     """Blackboard 2-cable with a per-component pattern insertion.
 
     Every crossing among kept components becomes four crossings; each
-    component's pattern is spliced in at one point (the component's
-    smallest edge id, unless ``insertion_edges`` maps the component to
-    another of its edges).  In antiparallel mode the second parallel copy
+    component's pattern is spliced in at one point, the component's
+    smallest edge id.  In antiparallel mode the second parallel copy
     is oriented against the first, which gives the pattern-free cable of
     any oriented diagram total writhe zero.  The output is oriented iff
     the input is.
@@ -1079,8 +1078,6 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
             raise PatternMissing(f"component {idx} has no cable pattern")
     deleted = [i for i in range(total) if patterns[i].kind == CablePattern.DELETE]
     if deleted:
-        if insertion_edges:
-            raise ValidationError("insertion_edges cannot be combined with Delete patterns")
         kept = [patterns[i] for i in range(total) if i not in deleted]
         base = delete_components(d, deleted)
         return cable2(base, dict(enumerate(kept)), mode)
@@ -1147,10 +1144,6 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel", insertion_edges=None):
     for comp_idx, (walk, comp) in enumerate(zip(walks, work.edge_components())):
         pat = patterns[comp_idx]
         ins_edge = comp[0]
-        if insertion_edges and comp_idx in insertion_edges:
-            ins_edge = insertion_edges[comp_idx]
-            if ins_edge not in comp:
-                raise UnknownComponent(f"edge {ins_edge} is not on component {comp_idx}")
         for t, e in zip(walk, comp):
             h = t if head[t] else opp[t]
             t0, t1 = stub(opp[h], 0), stub(opp[h], 1)

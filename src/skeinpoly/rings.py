@@ -220,13 +220,15 @@ class LaurentPoly:
             other = LaurentPoly.const(other, self.vars)
         a, b = align(self, other)
         out = dict(a.terms)
+        # a's terms meet the invariant; only a sum formed here can be an integral Fraction
         for exps, c in b.terms.items():
             s = out.get(exps, 0) + c
-            if s:
+            if not s:
+                del out[exps]
+            elif type(s) is int or s.denominator != 1:
                 out[exps] = s
             else:
-                del out[exps]
-        _norm_values(out)
+                out[exps] = s.numerator
         return LaurentPoly._trusted(a.vars, out)
 
     __radd__ = __add__
@@ -743,7 +745,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
             num = LaurentPoly.const(num)
         if den is None:
@@ -752,11 +754,18 @@ class RatFunc:
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        num, den = align(num, den)
-        if reduce:
-            num, den = _ratfunc_reduce(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _ratfunc_reduce(*align(num, den))
+
+    @staticmethod
+    def _trusted(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+        """Wrap ``num / den`` as given, unnormalised.
+
+        Only for a nonzero ``den`` over the same variables as ``num``.
+        """
+        r = object.__new__(RatFunc)
+        r.num = num
+        r.den = den
+        return r
 
     @staticmethod
     def _coprime(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
@@ -764,9 +773,7 @@ class RatFunc:
 
         Every normalisation step runs but the GCD, which could only be a unit.
         """
-        r = object.__new__(RatFunc)
-        r.num, r.den = _ratfunc_reduce(*align(num, den), coprime=True)
-        return r
+        return RatFunc._trusted(*_ratfunc_reduce(*align(num, den), coprime=True))
 
     # ---- arithmetic ----
 
@@ -774,7 +781,8 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return RatFunc(other if isinstance(other, LaurentPoly) else LaurentPoly.const(other), reduce=False)
+            num = other if isinstance(other, LaurentPoly) else LaurentPoly.const(other)
+            return RatFunc._trusted(num, LaurentPoly.const(1, num.vars))
         return None
 
     def __add__(self, other):
@@ -786,7 +794,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc._trusted(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)

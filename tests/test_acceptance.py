@@ -70,7 +70,6 @@ def test_criterion_7_connected_sum():
            "a=s specialization equals 1 on a connected sum")
 
 
-@pytest.mark.slow
 def test_criterion_8_rhs_formula():
     report("8 (rhs formula)", ["conjecture/stated-rhs-k3"], "rhs matches the stated form")
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from skeinpoly.cli import checks, main
-from skeinpoly.diagrams import BraidWord, braid_closure
+from skeinpoly.diagrams import BraidWord, braid_closure, diagram_from_json
+from skeinpoly.errors import ValidationError
 from skeinpoly.homfly import homfly_p
 from skeinpoly.rings import (
     RatFunc,
@@ -51,6 +52,13 @@ def test_invariant_v2(capsys):
     assert out.strip() == "1"
 
 
+def test_invariant_v2_json_is_rational(capsys):
+    code, out, _ = run(capsys, "invariant", "v2", "braid:2:[1,1,1]", "--json")
+    blob = json.loads(out)
+    assert code == 0
+    assert (blob["type"], blob["value"]) == ("rational", {"num": "1", "den": "1"})
+
+
 def test_invariant_json_round_trips(capsys):
     code, out, _ = run(capsys, "invariant", "homfly", "braid:2:[1,1]", "--json")
     assert code == 0
@@ -71,6 +79,21 @@ def test_non_planar_pd_exits_2(capsys):
         code, out, err = run(capsys, "invariant", kind, text)
         assert (code, out) == (2, "")
         assert "not planar" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("X+[0,1,2,3];X+[3,4,5,0];X+[2,1,4,5]", "edge 3 flows into two crossing slots"),
+    ("X+[0,1,2,3];X-[1,4,5,2];X+[4,0,3,5]", "edge 2 flows out of two crossing slots"),
+], ids=["into", "out-of"])
+def test_inconsistent_orientation_exits_2(capsys, text, message):
+    code, out, err = run(capsys, "invariant", "homfly", text)
+    assert (code, out) == (2, "") and err == f"error: {message}\n"
+    # diagram JSON is checked by the same constructor; "X+[0,1,2,3]" has sign +1
+    crossings = [{"edges": json.loads(item[2:]), "sign": 1 if item[1] == "+" else -1}
+                 for item in text.split(";")]
+    blob = {"format": "skeinpoly-diagram/1", "crossings": crossings, "free_loops": 0}
+    with pytest.raises(ValidationError, match=message):
+        diagram_from_json(blob)
 
 
 def test_invariant_series_truncate(capsys):
@@ -326,6 +349,16 @@ def test_verify_homfly(capsys):
     code, out, _ = run(capsys, "verify", "homfly")
     assert code == 0
     assert out.count("PASS") == 6
+
+
+def test_verify_budget_skips_every_check(capsys):
+    code, out, _ = run(capsys, "verify", "homfly", "--budget", "1")
+    lines = out.splitlines()
+    assert code == 3 and len(lines) == 6 and all(line.startswith("SKIP homfly/") for line in lines)
+    code, out, _ = run(capsys, "verify", "homfly", "--budget", "1", "--json")
+    rows = json.loads(out)["checks"]
+    assert code == 3 and len(rows) == 6
+    assert all(row["status"] == "skip" and row["expected"] == "(budget exceeded)" for row in rows)
 
 
 def test_verify_json_shape(capsys):
