@@ -35,18 +35,14 @@ every surgery of a well-formed diagram does.
 
 Canonical keys are minimal breadth-first codes over the starts of each
 connected part.  The code from a start (crossing, under-slot rotation)
-reads each crossing's four labels in the order the search meets them;
-its entry 0 depends on the start alone.  Two start rules follow:
-
-* an oriented part with no edge back to its own crossing has the same
-  entry 0 from every start but for the sign, so only the starts at its
-  crossings of least sign are encoded;
-* every other part encodes all 2n starts (n crossings, two rotations).
-
-The first rule cuts the candidate starts by an invariant before the
-search, as in McKay and Piperno, "Practical graph isomorphism II"
-(2014), and keeps every key.  The engines strip every curl before they
-key a part, so their oriented parts all take the first rule.
+reads each crossing's four labels in the order the search meets them.
+One start rule prunes the search: each start has a signature, the
+crossing's sign (oriented parts only) then the sizes of the faces of its
+four darts in the order the code reads them, and only the starts of least
+signature are encoded.  The signature cuts the candidate starts by an
+invariant before the search, as in McKay and Piperno, "Practical graph
+isomorphism II" (2014).  Any one code determines its part, so two parts
+share a key exactly when they share the minimum over all 2n starts.
 
 Diagrams are immutable; all operations return new diagrams and are safe
 to call concurrently.
@@ -141,8 +137,6 @@ class LinkDiagram:
                     if e in seen_out:
                         raise ValidationError(f"edge {e} flows out of two crossing slots")
                     seen_out.add(e)
-            if seen_in != seen_out:
-                raise ValidationError("orientation is inconsistent (an edge lacks a head or a tail)")
 
     @property
     def oriented(self):
@@ -716,16 +710,21 @@ def add_kinks(d: LinkDiagram, comp_index, k) -> LinkDiagram:
 # Face structure (used for curl and bigon reduction by the engines)
 # ---------------------------------------------------------------------------
 
+def _face_successor(opp):
+    """Dart t -> the next dart of its face: ``opp[t]`` turned one slot ccw."""
+    return [u + 1 if u & 3 != 3 else u - 3 for u in opp]
+
+
 def faces(d: LinkDiagram):
     """Orbits of the face permutation dart -> ccw-next(other end of dart).
 
     Monogon faces (length 1) are curls; bigon faces (length 2 on two
     distinct crossings) are candidates for parallel-strand cancellation.
     """
-    opp = d.opp()
-    seen = [False] * len(opp)
+    succ = _face_successor(d.opp())
+    seen = [False] * len(succ)
     out = []
-    for t0 in range(len(opp)):
+    for t0 in range(len(succ)):
         if seen[t0]:
             continue
         face = []
@@ -733,8 +732,7 @@ def faces(d: LinkDiagram):
         while not seen[t]:
             seen[t] = True
             face.append(divmod(t, 4))
-            u = opp[t]
-            t = u + 1 if u & 3 != 3 else u - 3
+            t = succ[t]
         out.append(tuple(face))
     return out
 
@@ -789,7 +787,7 @@ def bigon_reductions(d: LinkDiagram):
     successor, in increasing order of its smaller dart t: the order in
     which ``faces`` lists them.
     """
-    succ = [v + 1 if v & 3 != 3 else v - 3 for v in d.opp()]
+    succ = _face_successor(d.opp())
     # (t - u) odd: the strand keeps its level, so the bigon is no clasp
     return [(t >> 2, t & 3, u >> 2, u & 3) for t, u in enumerate(succ)
             if u > t and succ[u] == t and (t - u) & 1 and t >> 2 != u >> 2]
@@ -918,38 +916,54 @@ def _encode_from(opp, signs, start_ci, start_rot, best=None):
 
 
 def _part_code(d: LinkDiagram):
-    """The minimal code of a connected diagram over its starts.
+    """The minimal code of a connected diagram over its starts of least signature.
 
-    A code is compared entry by entry and its entry 0 depends on the start
-    alone, so only the starts of least entry 0 can give the minimum.  In an
-    oriented part with no edge back to its own crossing, entry 0 is
-    (0, 1, 2, 3) then the sign, from every start, so only the starts at
-    the crossings of least sign are encoded.  Every other part encodes all
-    of its starts.
+    The signature of a start (ci, rot) is the crossing's sign (oriented
+    parts only), then the sizes of the faces of its four darts in the order
+    the code reads them: ``4*ci + rot``, ``+ rot + 1``, ``+ (rot ^ 2)``,
+    ``+ (rot ^ 2) + 1``.  It does not depend on labels, crossing order or
+    ``reverse_all``, so the least code over the starts of least signature
+    is canonical; any one code determines the part, so diagrams share a
+    key exactly when they share the minimum over all starts.
     """
     opp = d.opp()
-    if d.signs is not None and all(t >> 2 != u >> 2 for t, u in enumerate(opp)):
-        low = min(d.signs)
-        starts = [(ci, rot) for ci, s in enumerate(d.signs) if s == low for rot in (0, 2)]
-    else:
-        starts = [(ci, rot) for ci in range(len(d.crossings)) for rot in (0, 2)]
+    # the face size of every dart, one walk per face
+    succ = _face_successor(opp)
+    size = [0] * len(opp)
+    for t0 in range(len(opp)):
+        if not size[t0]:
+            face = [t0]
+            t = succ[t0]
+            while t != t0:
+                face.append(t)
+                t = succ[t]
+            n = len(face)
+            for t in face:
+                size[t] = n
+    signs = d.signs or [0] * len(d.crossings)
+    a, b, c, e = size[0::4], size[1::4], size[2::4], size[3::4]
+    sigs = {0: list(zip(signs, a, b, c, e)), 2: list(zip(signs, c, e, a, b))}
+    low = min(min(sigs[0]), min(sigs[2]))
     best = None
-    for ci, rot in starts:
-        code = _encode_from(opp, d.signs, ci, rot, best)
-        if code is not None and (best is None or code < best):
-            best = code
+    for rot, sig in sigs.items():
+        for ci, key in enumerate(sig):
+            if key == low:
+                code = _encode_from(opp, d.signs, ci, rot, best)
+                if code is not None and (best is None or code < best):
+                    best = code
     return best
 
 
 def canonical_key(d: LinkDiagram):
     """A relabeling-invariant key: minimal breadth-first code.
 
-    Minimizes over all start crossings and both under-slot rotations.
-    An oriented code reads every crossing from the start's rotation, so
-    rotation 2 encodes the part with all its components reversed: oriented
-    keys ignore reversing all components of a part, which preserves P.
-    Disconnected diagrams are canonicalized per connected part and the
-    sorted part codes are combined.
+    Minimizes over the starts (crossing, under-slot rotation) of least
+    signature, as ``_part_code`` defines it.  An oriented code reads every
+    crossing from the start's rotation, so rotation 2 encodes the part
+    with all its components reversed: oriented keys ignore reversing all
+    components of a part, which preserves P.  Disconnected diagrams are
+    canonicalized per connected part and the sorted part codes are
+    combined.
     """
     if not d.crossings:
         return ("loops", d.free_loops)

@@ -555,7 +555,7 @@ def test_walks_golden_hash():
     records = _walk_records()
     assert len(records) == 308
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "e092d0286f5662eb2f42ac78dcd6c0857f6eceef46ca7c1741a4019d1f4c3aeb"
+    assert digest == "c32deaad6333a5ca824f6ca3c82394e87989511571bf8e03d21a934b1891e2fb"
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +598,44 @@ def _ref_code(d, opp, start, rot0):
     return tuple(code), frozenset(queue)
 
 
+def _ref_face_sizes(opp):
+    """Dart -> the number of darts on its face, walking each face from it."""
+    sizes = []
+    for t0 in range(len(opp)):
+        n, t = 0, t0
+        while True:
+            ci, slot = divmod(opp[t], 4)
+            t = 4 * ci + (slot + 1) % 4
+            n += 1
+            if t == t0:
+                break
+        sizes.append(n)
+    return sizes
+
+
 def _ref_key(d):
+    """The minimal code over the starts of least signature of each part.
+
+    A start's signature is its crossing's sign, when oriented, then the
+    face sizes of the crossing's four darts read from the start's rotation.
+    """
+    if not d.crossings:
+        return ("loops", d.free_loops)
+    opp = _ref_opp(d)
+    sizes = _ref_face_sizes(opp)
+    best = {}
+    for ci in range(len(d.crossings)):
+        for rot in (0, 2):
+            code, part = _ref_code(d, opp, ci, rot)
+            sign = () if d.signs is None else (d.signs[ci],)
+            signature = sign + tuple(sizes[4 * ci + (rot + k) % 4] for k in range(4))
+            if part not in best or (signature, code) < best[part]:
+                best[part] = (signature, code)
+    return ("pd", d.signs is not None, tuple(sorted(code for _, code in best.values())),
+            d.free_loops)
+
+
+def _all_starts_key(d):
     """The minimal code over all 2n starts of each part, with no pruning."""
     if not d.crossings:
         return ("loops", d.free_loops)
@@ -666,11 +703,51 @@ def _oracle_diagrams(seed, count):
 
 
 def test_canonical_key_is_min_over_all_starts():
+    # all starts of least signature: the key is the minimum over those
     diagrams = _oracle_diagrams(2024, 25)
     assert max(len(d.crossings) for d in diagrams) >= 24
     assert any(len(connected_parts(d)) > 1 for d in diagrams)
     for d in diagrams:
         assert canonical_key(d) == _ref_key(d), diagram_to_text(d)
+
+
+def _isomorphic_copies(d, rng):
+    """d with its edges relabeled, with its crossings reordered, and reversed.
+
+    Reversing an unoriented diagram changes nothing, so its third copy reads
+    each crossing from a random under slot instead, which is the same diagram.
+    """
+    edges = d.edges()
+    relabel = dict(zip(edges, rng.sample(edges, len(edges))))
+    order = rng.sample(range(len(d.crossings)), len(d.crossings))
+    copies = [
+        LinkDiagram([[relabel[e] for e in x] for x in d.crossings], d.signs, d.free_loops),
+        LinkDiagram([d.crossings[i] for i in order],
+                    None if d.signs is None else [d.signs[i] for i in order], d.free_loops),
+    ]
+    if d.oriented:
+        copies.append(reverse_all(d))
+    else:
+        copies.append(LinkDiagram([x[2:] + x[:2] if rng.random() < 0.5 else x
+                                   for x in d.crossings], None, d.free_loops))
+    return copies
+
+
+def test_keys_are_shared_exactly_when_all_starts_keys_are():
+    # any one code determines its part, so pruning the starts keeps the
+    # classes of the all-starts minimum, on isomorphic copies too
+    rng = random.Random(16)
+    diagrams = []
+    for d in _oracle_diagrams(2024, 25):
+        diagrams += [d, *_isomorphic_copies(d, rng)]
+
+    def classes(key):
+        by_key = {}
+        for i, d in enumerate(diagrams):
+            by_key.setdefault(key(d), set()).add(i)
+        return {frozenset(c) for c in by_key.values()}
+
+    assert classes(canonical_key) == classes(_all_starts_key)
 
 
 def _reduction_diagrams():

@@ -9,6 +9,7 @@ from skeinpoly.diagrams import (
     add_kinks,
     braid_closure,
     cable2,
+    canonical_key,
     connected_sum,
     disjoint_union,
     homfly_adjoint_expansion,
@@ -137,14 +138,18 @@ def test_h_adjoint_of_plus_one_unknot_is_negative_hopf():
 
 def test_insertion_point_invariance():
     # cable2 inserts at the component's smallest edge id, so swapping that
-    # id with e moves the insertion to edge e
-    t = closure([1, 1, 1])
+    # id with e moves the insertion to edge e; on the figure-eight the twist
+    # lands in distinct cables (parallel2 splices in nowhere)
+    t = closure([1, -2, 1, -2], 3)
     comp = t.edge_components()[0]
-    values = set()
+    values, keys = set(), set()
     for e in comp:
         swap = {e: comp[0], comp[0]: e}
         d = LinkDiagram([[swap.get(x, x) for x in c] for c in t.crossings], t.signs)
-        values.add(homfly_p(cable2(d, {0: CablePattern.parallel2()}, mode="antiparallel")))
+        cable = cable2(d, {0: CablePattern.twisted(2)}, mode="antiparallel")
+        keys.add(canonical_key(cable))
+        values.add(homfly_p(cable))
+    assert len(keys) > 1
     assert len(values) == 1
 
 

@@ -10,6 +10,7 @@ from skeinpoly.diagrams import (
     add_kinks,
     braid_closure,
     cable2,
+    canonical_key,
     mirror,
     parse_diagram,
     smoothed,
@@ -125,15 +126,19 @@ def test_budget():
 
 def test_k_adjoint_insertion_invariance():
     # cable2 inserts at the component's smallest edge id, so swapping that
-    # id with e moves the projector to edge e
+    # id with e moves the projector to edge e; on the stabilized trefoil
+    # each insertion point gives a distinct cable
     eng = KauffmanEngine()
-    t = closure([1, 1, 1])
+    t = closure([1, 1, 1, 2], 3)
     comp = t.edge_components()[0]
-    values = set()
+    values, keys = set(), set()
     for e in comp:
         swap = {e: comp[0], comp[0]: e}
         d = LinkDiagram([[swap.get(x, x) for x in c] for c in t.crossings], None, 0)
-        values.add(eng.value(cable2(d, {0: CablePattern.twisted(1)}, mode="parallel")))
+        cable = cable2(d, {0: CablePattern.twisted(1)}, mode="parallel")
+        keys.add(canonical_key(cable))
+        values.add(eng.value(cable))
+    assert len(keys) > 1
     assert len(values) == 1
 
 

@@ -37,13 +37,16 @@ def test_homfly_adjoint_recursion_counts():
 
 
 def test_kauffman_adjoint_recursion_counts():
-    engine = KauffmanEngine()
-    per_term = []
-    for _, term in kauffman_adjoint_expansion(closure([1, 1, 1])):
-        engine.value(term)
-        per_term.append(engine.nodes)
-    assert per_term == [274, 625, 1]
-    assert len(engine.memo) == 308
+    # the figure-eight's cables have 16 and 17 crossings
+    for d, nodes, memo_entries in ((closure([1, 1, 1]), [274, 625, 1], 308),
+                                   (closure([1, -2, 1, -2], 3), [3874, 9355, 1], 4689)):
+        engine = KauffmanEngine()
+        per_term = []
+        for _, term in kauffman_adjoint_expansion(d):
+            engine.value(term)
+            per_term.append(engine.nodes)
+        assert per_term == nodes
+        assert len(engine.memo) == memo_entries
 
 
 def test_budget_bounds_the_engine_lifetime():
