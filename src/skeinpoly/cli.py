@@ -14,19 +14,22 @@ Three subcommands:
   qtilde-torus; RANGE looks like -3..3).
 
 Flags: --json (every subcommand) for machine-readable output;
---budget N for the skein node budget and --memo on|off (``invariant``
-and ``verify``, the subcommands that run skein engines; for ``invariant
-qtilde`` the budget counts polynomial terms, see
-``dskein.bounded_qtilde``, and its memo cannot be turned off); --truncate K
+--budget N for the skein node budget (``invariant`` and ``verify``, the
+subcommands that run skein engines; for ``invariant qtilde`` the budget
+counts polynomial terms, see ``dskein.bounded_qtilde``); --truncate K
 (``invariant`` of a homfly kind only, K >= 1) to print the series
 expansion (substituting v = exp(-d/2)) of the value instead of the value
 itself; a bad K or kind exits 2 before anything is evaluated.  A
 subcommand rejects a flag it would ignore (exit 2), so no accepted flag
-is silently without effect.  The budget counts nodes over an engine's
-lifetime: one engine per ``invariant`` invocation, one per ``verify``
-suite.  No environment variables or config files are consulted, so
-identical ``invariant`` and ``table`` invocations print identical bytes;
-``verify`` does not, since every line it prints carries its wall time.
+is silently without effect.  The engines always memoize: there is no
+``--memo`` flag any more, because turning the memo off changes no value,
+only the time and the node count, and no caller turned it off; tests keep
+``SkeinEngine(memo=False)`` as their reference evaluation.  The budget
+counts nodes over an engine's lifetime: one engine per ``invariant``
+invocation, one per ``verify`` suite.  No environment variables or
+config files are consulted, so identical ``invariant`` and ``table``
+invocations print identical bytes; ``verify`` does not, since every line
+it prints carries its wall time.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 budget exceeded.
 """
@@ -101,10 +104,7 @@ def _cmd_invariant(args):
     kind = args.kind
     if args.truncate is not None and kind not in ("homfly", "homfly-ad"):
         raise ParseError("--truncate applies to the homfly kinds only")
-    memo = args.memo == "on"
     if kind == "qtilde":
-        if not memo:
-            raise ParseError("--memo applies to the skein kinds")
         value = dskein.bounded_qtilde(dskein.parse_family(args.input), args.budget)
     else:
         engine_class, invariant = {
@@ -115,7 +115,7 @@ def _cmd_invariant(args):
             "kauffman-ad": (kauffman.KauffmanEngine, kauffman.k_adjoint),
         }[kind]
         d = _parse_link_input(args.input)
-        value = invariant(d, engine_class(memo=memo, budget=args.budget))
+        value = invariant(d, engine_class(budget=args.budget))
     if args.truncate is not None:
         value = series_exp_v(RatFunc(value), args.truncate)
     if args.json:
@@ -227,8 +227,8 @@ def _trefoil():
     return dg.braid_closure(dg.BraidWord(2, (1, 1, 1)))
 
 
-def _homfly_checks(budget, memo):
-    eng = homfly.HomflyEngine(memo=memo, budget=budget)
+def _homfly_checks(budget):
+    eng = homfly.HomflyEngine(budget=budget)
     v, z = LaurentPoly.var("v"), LaurentPoly.var("z")
 
     def unknot_check():
@@ -280,8 +280,8 @@ def _homfly_checks(budget, memo):
     ]
 
 
-def _kauffman_checks(budget, memo):
-    eng = kauffman.KauffmanEngine(memo=memo, budget=budget)
+def _kauffman_checks(budget):
+    eng = kauffman.KauffmanEngine(budget=budget)
     s, a = LaurentPoly.var("s"), LaurentPoly.var("a")
     u0 = dg.LinkDiagram((), None, 1)
     unknot_term = RatFunc(s ** 4 + 4 * s ** 2 + 1, s * (s ** 4 - 1))
@@ -341,8 +341,8 @@ def _kauffman_checks(budget, memo):
     ]
 
 
-def _conjecture_checks(budget, memo):
-    eng = homfly.HomflyEngine(memo=memo, budget=budget)
+def _conjecture_checks(budget):
+    eng = homfly.HomflyEngine(budget=budget)
 
     def sides():
         k3 = dg.add_kinks(_trefoil(), 0, -3)
@@ -364,7 +364,7 @@ def _conjecture_checks(budget, memo):
 
 
 _SUITE_CHECKS = {
-    "qtilde": lambda budget, memo: _qtilde_checks(),
+    "qtilde": lambda budget: _qtilde_checks(),
     "homfly": _homfly_checks,
     "kauffman": _kauffman_checks,
     "conjecture": _conjecture_checks,
@@ -372,7 +372,7 @@ _SUITE_CHECKS = {
 SUITES = ("all",) + tuple(_SUITE_CHECKS)
 
 
-def checks(suite, budget, memo):
+def checks(suite, budget):
     """The checks of one suite, or of every suite for "all", sorted by name.
 
     These checks are the only definition of acceptance criteria 1-8:
@@ -381,7 +381,7 @@ def checks(suite, budget, memo):
     computed until a check runs.
     """
     suites = _SUITE_CHECKS if suite == "all" else (suite,)
-    return sorted((c for name in suites for c in _SUITE_CHECKS[name](budget, memo)),
+    return sorted((c for name in suites for c in _SUITE_CHECKS[name](budget)),
                   key=lambda c: c.name)
 
 
@@ -389,7 +389,7 @@ def _cmd_verify(args):
     report = []
     failed = 0
     budget_hit = False
-    for check in checks(args.suite, args.budget, args.memo == "on"):
+    for check in checks(args.suite, args.budget):
         start = time.monotonic()
         try:
             ok, expected, computed = check.run()
@@ -469,7 +469,6 @@ def _build_parser():
     for p in (p_inv, p_ver):
         p.add_argument("--budget", type=_budget, default=homfly.DEFAULT_BUDGET,
                        help="skein recursion node budget (polynomial terms for qtilde)")
-        p.add_argument("--memo", choices=("on", "off"), default="on")
     return parser
 
 

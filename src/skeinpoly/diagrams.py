@@ -793,17 +793,17 @@ def bigon_reductions(d: LinkDiagram):
             if u > t and succ[u] == t and (t - u) & 1 and t >> 2 != u >> 2]
 
 
-def strip_bigon(d: LinkDiagram, ci, i, cj, j) -> "LinkDiagram | None":
-    """Remove the two crossings of a parallel bigon; None if degenerate."""
+def strip_bigon(d: LinkDiagram, ci, i, cj, j) -> LinkDiagram:
+    """Remove the two crossings of a parallel bigon, one of ``bigon_reductions(d)``.
+
+    No merge end is a bigon edge: ``xi[i]`` also ends at (cj, j-1) and
+    ``xj[j]`` at (ci, i-1), so such an end would be a third one.
+    """
     xi, xj = d.crossings[ci], d.crossings[cj]
-    bigon_edges = {xi[i], xj[j]}
     merges = [
         (xi[(i + 2) % 4], xj[(j + 1) % 4]),   # the strand through xi[i]
         (xi[(i + 1) % 4], xj[(j + 2) % 4]),   # the strand through xj[j]
     ]
-    for a, b in merges:
-        if a in bigon_edges or b in bigon_edges:
-            return None
     return _rewired(d, (ci, cj), merges)
 
 

@@ -245,11 +245,9 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
             raise ResourceLimit(f"term budget {budget} exceeded")
 
     for m in _torus_indices(link):
-        if m in (0, 1):
-            continue
         d = 1 if m > 1 else -1
         reached = 2 * d                 # I(-2..2) are base values
-        for k in range(2 * d + m % 2, m + d, 2 * d):
+        for k in range(2 * d + m % 2, m + d, 2 * d):      # empty for T(0) and T(1)
             while (k - reached) * d > 0:          # T(k) reads I up to index k
                 reached += d
                 charge(i_value(reached))

@@ -146,9 +146,9 @@ class KauffmanEngine(SkeinEngine):
         return DubVal.loops(d.num_components()) * _alpha_power(alpha)
 
     def _branch(self, d, bad):
-        sw = self._eval(dg.switched(d, bad))
-        s01 = self._eval(dg.smoothed(d, bad, "01"))
-        s03 = self._eval(dg.smoothed(d, bad, "03"))
+        sw = yield dg.switched(d, bad)
+        s01 = yield dg.smoothed(d, bad, "01")
+        s03 = yield dg.smoothed(d, bad, "03")
         return sw + (s01 - s03) * _Z
 
 
@@ -187,7 +187,7 @@ def kauf_derivative_at_s(d: dg.LinkDiagram, engine: KauffmanEngine | None = None
     quotient still has a pole on a = s (``exact_div_linear`` reports both).
     """
     value = k_adjoint(d, engine) - 1
-    quotient, ok = exact_div_linear(value, ("a", "s"))
+    quotient, ok = exact_div_linear(value)
     if not ok:
         raise InexactDivision("(a - s) does not divide the adjoint value minus one",
                               remainder=quotient)

@@ -998,7 +998,7 @@ def _cancel_common(num: LaurentPoly, den: LaurentPoly, lin: LaurentPoly):
         num, den = qn, qd
 
 
-def exact_div_linear(p: RatFunc, var_pair=("a", "s")):
+def exact_div_linear(p: RatFunc):
     """Divide by (a - s) exactly, reporting success.
 
     Returns (quotient, True) when (a - s) divides p as a rational function
@@ -1007,14 +1007,13 @@ def exact_div_linear(p: RatFunc, var_pair=("a", "s")):
     is well defined.  Otherwise returns (remainder witness, False), the
     witness being the input evaluated on a = s.
     """
-    x, y = var_pair
-    lin = LaurentPoly.var(x) - LaurentPoly.var(y)
+    lin = LaurentPoly.var("a") - LaurentPoly.var("s")
     num, den = _cancel_common(p.num, p.den, lin)
     qn = exact_divide(num, lin)
-    den_on = _collapse_linear(den, x, y)
+    den_on = _collapse_linear(den, "a", "s")
     if qn is None or den_on.is_zero():
         witness_den = den_on if not den_on.is_zero() else LaurentPoly.const(1)
-        return RatFunc(_collapse_linear(num, x, y), witness_den), False
+        return RatFunc(_collapse_linear(num, "a", "s"), witness_den), False
     return RatFunc(qn, den), True
 
 

@@ -7,7 +7,7 @@ one or more smoothings.  A diagram with no such crossing is descending:
 a split union of unknots, whose value the relation fixes directly.
 
 Before branching, every node strips curls and parallel bigons eagerly:
-the first curl by crossing index, else the first strippable bigon, then
+the first curl by crossing index, else the first parallel bigon, then
 the search restarts.  ``diagrams.first_curl`` finds the curl in one pass
 over the crossings, and ``diagrams.bigon_reductions`` finds the bigons in
 one scan over the darts, in the order ``faces`` would list them, so no
@@ -26,12 +26,13 @@ through three hooks: ``_combine(loops, chirality, parts)`` for a reduced
 diagram from its free loops, the summed chirality of its stripped curls
 and its connected parts' values, ``_descending(d)`` for a connected
 descending diagram, and ``_branch(d, bad)``, which applies the relation
-at crossing ``bad`` and evaluates the children through ``_eval``.
+at crossing ``bad``: a generator that yields each child diagram, is sent
+its value and returns its own.  ``_run`` drives all nodes from one loop
+over a stack of suspended ``_eval`` generators, so depth costs list
+entries, not interpreter frames, and the recursion limit stays as it is.
 """
 
 from __future__ import annotations
-
-import sys
 
 from . import diagrams as dg
 from .errors import ResourceLimit
@@ -59,16 +60,18 @@ class SkeinEngine:
         self.lifetime_nodes = 0
 
     def _run(self, d: dg.LinkDiagram):
-        """Evaluate d as one public call.
-
-        The recursion nests about two Python frames per crossing (125 on
-        the 24-crossing cables, 219 on the (2, 101) torus knot), so larger
-        diagrams would pass the default limit of 1000 frames.
-        """
+        """Evaluate d as one public call: each yielded child is pushed, each value sent back."""
         self.nodes = 0
-        if sys.getrecursionlimit() < 100000:
-            sys.setrecursionlimit(100000)
-        return self._eval(d)
+        stack, value = [self._eval(d)], None
+        while True:
+            try:
+                stack.append(self._eval(stack[-1].send(value)))
+                value = None
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
 
     def _limit(self, why=""):
         return ResourceLimit(f"node budget {self.budget} exceeded{why}",
@@ -103,31 +106,28 @@ class SkeinEngine:
                 chirality += sign
                 d = dg.strip_curl(d, ci)
                 continue
-            for (ci, i, cj, j) in dg.bigon_reductions(d):
-                reduced = dg.strip_bigon(d, ci, i, cj, j)
-                if reduced is not None:
-                    d = reduced
-                    break
-            else:
+            bigons = dg.bigon_reductions(d)
+            if not bigons:
                 break                       # nothing left to strip
+            d = dg.strip_bigon(d, *bigons[0])
         loops = d.free_loops
         if loops > self.budget:                 # no node count bounds building delta^loops
             raise self._limit(f" by {loops} free loops")
         if loops:
             d = dg.LinkDiagram._trusted(d.crossings, d.signs, 0)
         parts = dg.connected_parts(d) if d.crossings else []
-        values = [self._eval_connected(dg.subdiagram(d, part) if len(parts) > 1 else d)
-                  for part in parts]
+        values = []
+        for part in parts:
+            part = dg.subdiagram(d, part) if len(parts) > 1 else d
+            key = dg.canonical_key(part) if self.memo_enabled else None
+            value = None if key is None else self.memo.get(key)
+            if value is None:
+                bad = dg.first_bad_crossing(part, self.rng)
+                if bad is None:
+                    value = self._descending(part)
+                else:
+                    value = yield from self._branch(part, bad)
+                if key is not None:
+                    self.memo[key] = value
+            values.append(value)
         return self._combine(loops, chirality, values)
-
-    def _eval_connected(self, d: dg.LinkDiagram):
-        key = dg.canonical_key(d) if self.memo_enabled else None
-        if key is not None:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        bad = dg.first_bad_crossing(d, self.rng)
-        value = self._descending(d) if bad is None else self._branch(d, bad)
-        if key is not None:
-            self.memo[key] = value
-        return value

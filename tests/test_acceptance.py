@@ -15,7 +15,7 @@ from skeinpoly.cli import checks
 from skeinpoly.rings import LaurentPoly, RatFunc, specialize
 
 # every suite's checks, each suite with one engine shared by its checks
-CHECKS = {c.name: c for c in checks("all", homfly.DEFAULT_BUDGET, memo=True)}
+CHECKS = {c.name: c for c in checks("all", homfly.DEFAULT_BUDGET)}
 
 
 def report(criterion, names, detail):

@@ -8,11 +8,13 @@ import pytest
 
 from skeinpoly.cli import checks, main
 from skeinpoly.diagrams import BraidWord, braid_closure, diagram_from_json
+from skeinpoly.dskein import FramingShift, Torus2, qtilde
 from skeinpoly.errors import ValidationError
 from skeinpoly.homfly import homfly_p
 from skeinpoly.rings import (
     RatFunc,
     poly_from_json,
+    poly_to_text,
     ratfunc_from_json,
     series_exp_v,
     series_from_json,
@@ -139,8 +141,7 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, _, err = run(capsys, "invariant", "homfly", "braid:2:[1,1,1,-1,1]",
-                       "--budget", "2", "--memo", "off")
+    code, _, err = run(capsys, "invariant", "homfly", "braid:2:[1,1,1,-1,1]", "--budget", "2")
     assert code == 3
     # the budget bounds the whole call: the three projector terms of this
     # adjoint value take 274 + 625 + 1 nodes, each under the budget alone
@@ -231,8 +232,16 @@ def test_qtilde_budget(capsys):
     # budget stops it near n = 100
     code, _, err = run(capsys, "invariant", "qtilde", "torus2(3000)", "--budget", "100000")
     assert code == 3 and "term budget 100000 exceeded" in err
-    code, out, err = run(capsys, "invariant", "qtilde", "torus2(5)", "--memo", "off")
-    assert (code, out) == (2, "") and "--memo applies to the skein kinds" in err
+    # a framing shift is charged as its torus closure, and T(0) and T(1)
+    # are base values that cost nothing
+    framed = poly_to_text(qtilde(FramingShift(Torus2(3), -3))) + "\n"
+    assert run(capsys, "invariant", "qtilde", "frame(torus2(3),-3)", "--budget", "1000") \
+        == (0, framed, "")
+    code, _, err = run(capsys, "invariant", "qtilde", "frame(torus2(3000),-3)",
+                       "--budget", "100000")
+    assert code == 3 and "term budget 100000 exceeded" in err
+    assert run(capsys, "invariant", "qtilde", "connsum(torus2(0),torus2(1))", "--budget", "0") \
+        == (0, "1\n", "")
 
 
 def test_table(capsys):
@@ -321,9 +330,13 @@ def test_parser_reuse_prints_fresh_bytes(capsys):
 
 
 def test_flags_only_where_read(capsys):
-    # table reads only --json; verify never reads --truncate
+    # table reads only --json; verify never reads --truncate; no subcommand
+    # takes --memo, since the engines always memoize
     for argv in (["table", "i-values", "0..2", "--truncate", "3"],
                  ["table", "i-values", "0..2", "--memo", "off"],
+                 ["invariant", "qtilde", "torus2(5)", "--memo", "off"],
+                 ["invariant", "homfly", "braid:2:[1,1,1]", "--memo", "on"],
+                 ["verify", "qtilde", "--memo", "on"],
                  ["table", "i-values", "0..2", "--budget", "1"],
                  ["verify", "qtilde", "--truncate", "2"]):
         with pytest.raises(SystemExit) as exc:
@@ -378,5 +391,5 @@ def test_verify_conjecture(capsys):
         "conjecture/stated-rhs-k3": "pass",
         "conjecture/zero-framed-k3 (stated form; known inconsistent)": "fail",
     }
-    names = [c.name for c in checks("all", 1, True)]
+    names = [c.name for c in checks("all", 1)]
     assert len(names) == len(set(names))

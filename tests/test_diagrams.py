@@ -667,13 +667,10 @@ def _ref_stripped(d):
         if curl is not None:
             d = strip_curl(d, curl)
             continue
-        for bigon in _ref_bigons(d):
-            reduced = strip_bigon(d, *bigon)
-            if reduced is not None:
-                d = reduced
-                break
-        else:
+        bigons = _ref_bigons(d)
+        if not bigons:
             return d
+        d = strip_bigon(d, *bigons[0])
 
 
 def _oracle_diagrams(seed, count):
@@ -700,6 +697,19 @@ def _oracle_diagrams(seed, count):
         if a.oriented == b.oriented:
             out.append(disjoint_union(a, b))
     return out
+
+
+def test_every_parallel_bigon_strips_to_a_valid_diagram():
+    # no parallel bigon is degenerate: stripping any one of them leaves a
+    # diagram that passes the public validation, with two crossings fewer
+    strips = 0
+    for d in _oracle_diagrams(2024, 25):
+        for bigon in bigon_reductions(d):
+            reduced = strip_bigon(d, *bigon)
+            checked = LinkDiagram(reduced.crossings, reduced.signs, reduced.free_loops)
+            assert len(checked.crossings) == len(d.crossings) - 2, diagram_to_text(d)
+            strips += 1
+    assert strips > 100
 
 
 def test_canonical_key_is_min_over_all_starts():
@@ -774,7 +784,7 @@ def test_bigon_reductions_match_faces():
 
 def test_engines_strip_the_first_curl_and_bigon(monkeypatch):
     # every strip the engines make must be the one the reference order names:
-    # the first curl by index, else the first parallel bigon that strips
+    # the first curl by index, else the first parallel bigon
     import skeinpoly.diagrams as dg
     from skeinpoly.homfly import HomflyEngine
     from skeinpoly.kauffman import KauffmanEngine
@@ -790,9 +800,7 @@ def test_engines_strip_the_first_curl_and_bigon(monkeypatch):
     def checked_bigon(d, *bigon):
         strips.append("bigon")
         assert all(curl_sign(d, c) is None for c in range(len(d.crossings)))
-        candidates = _ref_bigons(d)
-        k = candidates.index(bigon)
-        assert all(orig_bigon(d, *b) is None for b in candidates[:k])
+        assert bigon == _ref_bigons(d)[0]
         return orig_bigon(d, *bigon)
 
     monkeypatch.setattr(dg, "strip_curl", checked_curl)

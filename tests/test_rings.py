@@ -202,6 +202,11 @@ def test_exact_div_linear():
     p = RatFunc((a - s) * (a ** 3 + s), s ** 2 + 1)
     q, ok = exact_div_linear(p)
     assert ok and q * RatFunc(a - s) == p
+    # parts past GCD_DEGREE_BOUND keep their common factor (a - s) through
+    # normalisation, and the division must cancel it first
+    p = RatFunc((a ** 2 - s ** 2) * (a - s) * (s ** 30 + a), (a - s) * (s ** 30 + a))
+    assert exact_divide(p.den, a - s) is not None
+    assert exact_div_linear(p) == (RatFunc(a + s), True)
 
 
 def test_limit_order2_at_v1():
@@ -211,6 +216,12 @@ def test_limit_order2_at_v1():
     inner = RatFunc(v + 4, v + 1) + RatFunc((v ** 2 + 4) * z ** 2 + z ** 4)
     value = limit_order2_at_v1(RatFunc(1) + vv * vv * inner)
     assert value == RatFunc(Fraction(5, 2) + 5 * z ** 2 + z ** 4)
+    # (v - 1) survives normalisation of parts past GCD_DEGREE_BOUND; the
+    # limit cancels it, else the denominator would vanish at v = 1
+    big = (v - 1) * (z ** 30 + v)
+    p = RatFunc((1 + (v - v ** -1) ** 2 * (z ** 2 + 1)) * big, big)
+    assert exact_divide(p.den, v - 1) is not None
+    assert limit_order2_at_v1(p) == RatFunc(1 + z ** 2)
     with pytest.raises(OrderTooLow):
         limit_order2_at_v1(RatFunc(v))
 

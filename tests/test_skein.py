@@ -6,6 +6,11 @@ memoized, so a change to either shows here even when every value stays
 the same.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from skeinpoly.diagrams import (
@@ -17,7 +22,7 @@ from skeinpoly.diagrams import (
 from skeinpoly.errors import ResourceLimit
 from skeinpoly.homfly import DELTA, HomflyEngine, framed_h
 from skeinpoly.kauffman import KauffmanEngine, k_adjoint
-from skeinpoly.rings import LaurentPoly
+from skeinpoly.rings import LaurentPoly, poly_to_text
 
 
 def closure(word, strands=2):
@@ -75,3 +80,33 @@ def test_large_diagrams_key_canonically():
     engine = KauffmanEngine()
     engine.value(d)
     assert (engine.nodes, len(engine.memo)) == (181, 60)
+
+
+# The recursion of T(2, 101) is about 100 nodes deep.  The engines keep
+# their nodes on an explicit stack, so a limit of 150 frames suffices, and
+# they must leave the limit as they found it.
+_LOW_LIMIT = """
+import sys
+sys.setrecursionlimit(150)
+from skeinpoly.diagrams import BraidWord, braid_closure
+from skeinpoly.homfly import HomflyEngine
+from skeinpoly.kauffman import KauffmanEngine
+from skeinpoly.rings import poly_to_text
+d = braid_closure(BraidWord(2, (1,) * 101))
+homfly, kauffman = HomflyEngine(), KauffmanEngine()
+print(poly_to_text(homfly.p(d)))
+print(kauffman.value(d).ratfunc().to_text())
+print(homfly.nodes, kauffman.nodes, sys.getrecursionlimit())
+"""
+
+
+def test_deep_recursion_leaves_the_recursion_limit_alone():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _LOW_LIMIT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    d = closure([1] * 101)
+    assert out.stdout.splitlines() == [poly_to_text(HomflyEngine().p(d)),
+                                       KauffmanEngine().value(d).ratfunc().to_text(),
+                                       "201 301 150"]
