@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import permutations
 from itertools import product as _iter_product
 
 from .errors import (
@@ -811,28 +812,95 @@ def strip_bigon(d: LinkDiagram, ci, i, cj, j) -> LinkDiagram:
 # Descending walk
 # ---------------------------------------------------------------------------
 
+# Above this many components an unoriented walk keeps label order.
+_ORDER_SEARCH_MAX = 5
+
+
+def _unoriented_starts(opp, walks):
+    """(first arrival, length) per component for the walk with fewest bad crossings.
+
+    Each component starts on its base edge, the one ``strands`` starts
+    it from; walked forward, it first arrives at that edge's first dart
+    in scan order.  A self-crossing is bad in exactly one of the
+    component's two directions: walked backwards, the arrivals come in
+    reverse order, each dart ``^ 2``, which keeps its level.  So if the
+    forward walk first meets ``f`` of its ``s`` self-crossings from below,
+    the backward walk first meets the other ``s - f`` so.  A crossing of
+    two components is bad exactly when its under-strand's component is
+    walked first, in either direction.  Each component is reversed when
+    ``2 f > s``, and the order is the lexicographically least of those
+    with fewest bad crossings between components, by exact search over
+    at most ``_ORDER_SEARCH_MAX`` components (label order above that).
+    """
+    k = len(walks)
+    first = {}                           # crossing -> (component, level) first met
+    below = [[0] * k for _ in range(k)]  # below[u][o]: crossings of u under o
+    starts = []
+    for c, walk in enumerate(walks):
+        arrival = walk[0]
+        selfs = bad = 0
+        for _ in range(len(walk)):
+            ci = arrival >> 2
+            seen = first.get(ci)
+            if seen is None:
+                first[ci] = (c, arrival & 1)
+            elif seen[0] == c:
+                selfs += 1
+                bad += not seen[1]
+            elif arrival & 1:
+                below[seen[0]][c] += 1
+            else:
+                below[c][seen[0]] += 1
+            arrival = opp[arrival ^ 2]
+        starts.append((opp[walk[0]] if 2 * bad > selfs else walk[0], len(walk)))
+    if 1 < k <= _ORDER_SEARCH_MAX:
+        order = min(permutations(range(k)), key=lambda p: sum(
+            below[u][o] for i, u in enumerate(p) for o in p[i + 1:]))
+        starts = [starts[c] for c in order]
+    return starts
+
+
 def first_bad_crossing(d: LinkDiagram, rng=None):
     """Index of the first crossing first-reached on its under-strand.
 
-    Walks the components in order of smallest edge id, each from its
-    smallest edge (following the orientation when present, else a
-    deterministic direction).  Returns None when the diagram is
-    descending.  ``rng`` (a random.Random) shuffles component order,
-    base edges, and free directions, for invariance testing.
+    Each component is walked from its base edge, the one ``strands``
+    starts it from, and the components one after another.  An oriented
+    diagram is walked along its orientation, in ``strands`` order.  An
+    unoriented one is walked in the directions and order that leave the
+    fewest bad crossings (``_unoriented_starts``); the Dubrovnik relation
+    holds at any crossing, and a diagram descending for any directions
+    and order is a stacked unlink.  Returns None when the walk meets no
+    bad crossing.  ``rng`` (a random.Random) instead shuffles component
+    order, base edges and free directions, for invariance testing.
+
+    Why the unoriented search must be exact: let m(D) be the least bad
+    count over all directions and orders from the same base edges.  The
+    returned crossing is bad on a walk that attains m(D).  Switching it
+    keeps every edge label, so the same walk of the switched diagram has
+    one bad crossing fewer, and m falls by at least 1; each smoothing
+    removes a crossing.  So the recursion ends.  A greedy order gives no
+    such bound and could cycle.
     """
     opp = d.opp()
-    walks = list(d.strands())
-    if rng is not None:
-        rng.shuffle(walks)
+    walks = d.strands()
+    if rng is None and d.signs is None:
+        starts = _unoriented_starts(opp, walks)
+    else:
+        if rng is not None:
+            walks = list(walks)
+            rng.shuffle(walks)
+        starts = []
+        for walk in walks:
+            t = walk[0] if rng is None else rng.choice(walk)
+            p, q = sorted((t, opp[t]))
+            if d.signs is not None:
+                arrival = p if (p & 3) in d.in_slots(p >> 2) else q
+            else:
+                arrival = p if rng.random() < 0.5 else q
+            starts.append((arrival, len(walk)))
     visited = set()
-    for walk in walks:
-        t = walk[0] if rng is None else rng.choice(walk)
-        p, q = sorted((t, opp[t]))
-        if d.signs is not None:
-            arrival = p if (p & 3) in d.in_slots(p >> 2) else q
-        else:
-            arrival = p if rng is None or rng.random() < 0.5 else q
-        for _ in range(len(walk)):
+    for arrival, length in starts:
+        for _ in range(length):
             ci = arrival >> 2
             if ci not in visited:
                 if not arrival & 1:

@@ -6,6 +6,15 @@ branches by the skein relation into the crossing-switched diagram and
 one or more smoothings.  A diagram with no such crossing is descending:
 a split union of unknots, whose value the relation fixes directly.
 
+Oriented diagrams (HOMFLY) are walked along their orientation, in order
+of smallest edge id.  The Dubrovnik relation holds at any crossing, so
+an unoriented diagram is walked in the component directions and order
+that leave the fewest bad crossings (``diagrams.first_bad_crossing``).
+Either way the recursion ends: switching the returned crossing keeps
+every label, so the walk's bad count, or for unoriented diagrams the
+least bad count over every direction and order, falls by at least 1,
+and each smoothing, strip or split removes crossings from a part.
+
 Before branching, every node strips curls and parallel bigons eagerly:
 the first curl by crossing index, else the first parallel bigon, then
 the search restarts.  ``diagrams.first_curl`` finds the curl in one pass

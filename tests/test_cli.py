@@ -144,9 +144,9 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "invariant", "homfly", "braid:2:[1,1,1,-1,1]", "--budget", "2")
     assert code == 3
     # the budget bounds the whole call: the three projector terms of this
-    # adjoint value take 274 + 625 + 1 nodes, each under the budget alone
-    code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "700")
-    assert code == 3 and "node budget 700 exceeded" in err
+    # adjoint value take 265 + 229 + 1 nodes, each under the budget alone
+    code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "400")
+    assert code == 3 and "node budget 400 exceeded" in err
     # 1e3 still means 1000 nodes
     code, _, err = run(capsys, "invariant", "kauffman-ad", "braid:2:[1,1,1]", "--budget", "1e3")
     assert code == 0

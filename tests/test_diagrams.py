@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -555,7 +556,7 @@ def test_walks_golden_hash():
     records = _walk_records()
     assert len(records) == 308
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "c32deaad6333a5ca824f6ca3c82394e87989511571bf8e03d21a934b1891e2fb"
+    assert digest == "2e8313003997c9241d332b78eb85673f7df8c5b09ed02e2c3a3ae6b53220fdbd"
 
 
 # ---------------------------------------------------------------------------
@@ -811,3 +812,91 @@ def test_engines_strip_the_first_curl_and_bigon(monkeypatch):
             if d.oriented and d.num_components():
                 HomflyEngine().p(d)
     assert strips.count("curl") > 100 and strips.count("bigon") > 100
+
+
+# ---------------------------------------------------------------------------
+# The walk rule, checked by brute force over every direction and order
+# ---------------------------------------------------------------------------
+
+def _ref_bad(opp, arrivals):
+    """Crossings first met on an under-strand, walking from each arrival in turn."""
+    met, bad = set(), []
+    for start in arrivals:
+        t = start
+        while True:
+            if t >> 2 not in met:
+                met.add(t >> 2)
+                if t % 2 == 0:
+                    bad.append(t >> 2)
+            t = opp[t ^ 2]
+            if t == start:
+                break
+    return bad
+
+
+def _ref_bases(d, opp):
+    """Per component, by smallest edge id, both darts of that edge: first in scan order first."""
+    darts = {}
+    for t, e in enumerate(e for x in d.crossings for e in x):
+        darts.setdefault(e, []).append(t)
+    done, bases = set(), []
+    for e in sorted(darts):
+        if e in done:
+            continue
+        t = start = darts[e][0]
+        while True:
+            done.add(d.crossings[t >> 2][t % 4])
+            t = opp[t ^ 2]
+            if t == start:
+                break
+        bases.append(darts[e])
+    return bases
+
+
+def _ref_walks(d):
+    """(bad crossings, order, reversed flags) of every walk from the base edges."""
+    opp = _ref_opp(d)
+    bases = _ref_bases(d, opp)
+    return [(_ref_bad(opp, [bases[c][flips[c]] for c in order]), order, flips)
+            for order in permutations(range(len(bases)))
+            for flips in product((0, 1), repeat=len(bases))]
+
+
+def _least_bad(d):
+    return min(len(bad) for bad, _, _ in _ref_walks(d))
+
+
+def _small_closures(seed, count):
+    """Closures of braids on at most 4 strands, so of at most 4 components."""
+    rng = random.Random(seed)
+    return [braid_closure(rand_braid(rng, max_strands=4, max_len=10)) for _ in range(count)]
+
+
+def test_unoriented_walk_has_fewest_bad_crossings():
+    # the walk is one of least bad count over all 2^k directions and k!
+    # orders, the least order and forward on a tie; switching its crossing
+    # lowers that least count, which is what ends the recursion
+    switched_count = 0
+    for d in _small_closures(18, 300):
+        d = LinkDiagram(d.crossings, None, d.free_loops)
+        walks = _ref_walks(d)
+        least = min(len(bad) for bad, _, _ in walks)
+        bad, _, _ = min((w for w in walks if len(w[0]) == least), key=lambda w: w[1:])
+        got = first_bad_crossing(d)
+        assert got == (bad[0] if bad else None), diagram_to_text(d)
+        assert (got is None) == (least == 0)
+        if got is not None:
+            assert _least_bad(switched(d, got)) < least, diagram_to_text(d)
+            switched_count += 1
+    assert switched_count > 200
+
+
+def test_oriented_walk_follows_the_orientation_in_label_order():
+    # oriented diagrams keep the fixed walk: components by smallest edge id,
+    # each from the head of that edge
+    for d in _small_closures(19, 300):
+        opp = _ref_opp(d)
+        heads = [next(t for t in darts if t % 4 in ((0, 3) if d.signs[t >> 2] == 1 else (0, 1)))
+                 for darts in _ref_bases(d, opp)]
+        bad = _ref_bad(opp, heads)
+        assert first_bad_crossing(d) == (bad[0] if bad else None), diagram_to_text(d)

@@ -4,7 +4,7 @@ The Kauffman bracket of a PD code is summed over its 2^n smoothings
 (Kauffman, "State models and the Jones polynomial", Topology 26, 1987),
 counting loops with a union-find of its own.  Nothing here runs the
 engines' recursion, surgery, face or splitting code; ``braid_closure``
-only builds the inputs.
+and ``kauffman_adjoint_expansion`` only build the inputs.
 
 Conventions: the A-smoothing of a crossing joins slots (0,1) and (2,3),
 the B-smoothing joins (0,3) and (1,2).  A state with a A-smoothings, b
@@ -20,7 +20,9 @@ import random
 from collections import Counter
 from itertools import product
 
-from skeinpoly.diagrams import BraidWord, braid_closure
+import pytest
+
+from skeinpoly.diagrams import BraidWord, braid_closure, kauffman_adjoint_expansion
 from skeinpoly.homfly import homfly_p
 from skeinpoly.kauffman import kauffman_lambda
 from skeinpoly.rings import LaurentPoly, RatFunc, specialize
@@ -100,6 +102,25 @@ def test_dubrovnik_at_jones_point_is_the_bracket():
     for b in CASES:
         d = braid_closure(b)
         assert specialize(kauffman_lambda(d), {"s": A, "a": -A ** 3}) == RatFunc(bracket(d)), b
+
+
+def _check_adjoint_terms(b):
+    for _, term in kauffman_adjoint_expansion(braid_closure(b)):
+        assert specialize(kauffman_lambda(term), {"s": A, "a": -A ** 3}) == RatFunc(bracket(term)), b
+
+
+@pytest.mark.parametrize("b", [BraidWord(2, (1, 1)), BraidWord(2, (1, 1, 1))],
+                         ids=["hopf", "trefoil"])
+def test_dubrovnik_at_jones_point_on_adjoint_cables(b):
+    # the unoriented 2-cables of 8 to 13 crossings, the walks the engine
+    # chooses directions and orders for
+    _check_adjoint_terms(b)
+
+
+@pytest.mark.slow
+def test_dubrovnik_at_jones_point_on_stabilised_trefoil_cables():
+    # 16 and 17 crossings: 2^17 states
+    _check_adjoint_terms(BraidWord(3, (1, 1, 1, 2)))
 
 
 def test_homfly_at_jones_point_is_the_jones_polynomial():

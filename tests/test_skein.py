@@ -15,6 +15,7 @@ import pytest
 
 from skeinpoly.diagrams import (
     BraidWord,
+    add_kinks,
     braid_closure,
     homfly_adjoint_expansion,
     kauffman_adjoint_expansion,
@@ -42,9 +43,12 @@ def test_homfly_adjoint_recursion_counts():
 
 
 def test_kauffman_adjoint_recursion_counts():
-    # the figure-eight's cables have 16 and 17 crossings
-    for d, nodes, memo_entries in ((closure([1, 1, 1]), [274, 625, 1], 308),
-                                   (closure([1, -2, 1, -2], 3), [3874, 9355, 1], 4689)):
+    # the figure-eight's cables have 16 and 17 crossings; the 0-framed
+    # trefoil's have 24 and 25, the case a walk in one fixed direction and
+    # order handled worst (15,189 nodes)
+    for d, nodes, memo_entries in ((closure([1, 1, 1]), [265, 229, 1], 176),
+                                   (closure([1, -2, 1, -2], 3), [2107, 3043, 1], 1908),
+                                   (add_kinks(closure([1, 1, 1]), 0, -3), [511, 10, 1], 185)):
         engine = KauffmanEngine()
         per_term = []
         for _, term in kauffman_adjoint_expansion(d):
@@ -55,13 +59,13 @@ def test_kauffman_adjoint_recursion_counts():
 
 
 def test_budget_bounds_the_engine_lifetime():
-    engine = KauffmanEngine(budget=900)
+    engine = KauffmanEngine(budget=495)
     k_adjoint(closure([1, 1, 1]), engine)
-    assert (engine.nodes, engine.lifetime_nodes) == (1, 900)
-    engine = KauffmanEngine(budget=899)
+    assert (engine.nodes, engine.lifetime_nodes) == (1, 495)
+    engine = KauffmanEngine(budget=494)
     with pytest.raises(ResourceLimit) as exc:
         k_adjoint(closure([1, 1, 1]), engine)
-    assert exc.value.nodes == 900
+    assert exc.value.nodes == 495
 
 
 def test_large_diagrams_key_canonically():
