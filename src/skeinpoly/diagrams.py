@@ -44,6 +44,23 @@ invariant before the search, as in McKay and Piperno, "Practical graph
 isomorphism II" (2014).  Any one code determines its part, so two parts
 share a key exactly when they share the minimum over all 2n starts.
 
+The skein engines reduce their diagrams with one private kernel,
+``_stripped``.  It strips curls and parallel bigons in place on three
+mutable arrays (the dart array ``opp``, a label per dart, a live flag
+per crossing), in the order of the public ``strip_curl`` and
+``strip_bigon``, and compacts once at the end into a diagram that
+carries its dart array.  ``_reduced`` seeds it with every dart of a
+diagram.  ``_reduced_child`` switches or smooths one crossing of an
+already reduced part on a copy of the part's arrays and seeds only the
+darts whose partner the surgery changed, and so does each strip after
+it.  Those seeds suffice: a curl is an edge between adjacent slots of
+one crossing, and a parallel bigon a 2-cycle t, u of the face
+successor, so each is read off the partners of its own darts, and one
+that the reduced part did not have needs one of those darts to have a
+new partner.  A switch only turns its crossing's slots, so it makes no
+curl.  A seed in neither is dropped: a later curl or bigon through it
+needs a new partner for one of its darts, which is seeded then.
+
 Diagrams are immutable; all operations return new diagrams and are safe
 to call concurrently.
 """
@@ -52,7 +69,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, chain, compress, permutations
 from itertools import product as _iter_product
 
 from .errors import (
@@ -598,10 +615,16 @@ def oriented_smoothed(d: LinkDiagram, ci) -> LinkDiagram:
     """The orientation-respecting smoothing of an oriented crossing."""
     if d.signs is None:
         raise Unoriented("oriented smoothing needs an oriented diagram")
-    # under-in joins over-out and over-in joins under-out, each keeping the
-    # incoming label: labels decide where the child's descending walk starts
-    pairs = ((0, 1), (3, 2)) if d.signs[ci] == 1 else ((0, 3), (1, 2))
-    return _smooth(d, ci, pairs, oriented=True)
+    return _smooth(d, ci, _oriented_pairs(d.signs[ci]), oriented=True)
+
+
+def _oriented_pairs(sign):
+    """The slot pairs the oriented smoothing of a crossing of this sign joins.
+
+    Under-in joins over-out and over-in joins under-out, each keeping the
+    incoming label: labels decide where the child's descending walk starts.
+    """
+    return ((0, 1), (3, 2)) if sign == 1 else ((0, 3), (1, 2))
 
 
 def reverse_all(d: LinkDiagram) -> LinkDiagram:
@@ -708,7 +731,7 @@ def add_kinks(d: LinkDiagram, comp_index, k) -> LinkDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Face structure (used for curl and bigon reduction by the engines)
+# Face structure, curls and bigons (the order the engines' kernel keeps)
 # ---------------------------------------------------------------------------
 
 def _face_successor(opp):
@@ -748,21 +771,6 @@ def curl_sign(d: LinkDiagram, ci):
     for i in range(4):
         if x[i] == x[(i + 1) % 4]:
             return 1 if i in (0, 2) else -1
-    return None
-
-
-def first_curl(d: LinkDiagram):
-    """(ci, chirality) of the curl crossing of least index, or None.
-
-    The same crossing and chirality as the first ci whose ``curl_sign``
-    is not None, in one pass: a crossing holds at most two curl edges,
-    and both have the same chirality.
-    """
-    for ci, (a, b, c, e) in enumerate(d.crossings):
-        if a == b or c == e:
-            return ci, 1
-        if b == c or e == a:
-            return ci, -1
     return None
 
 
@@ -806,6 +814,142 @@ def strip_bigon(d: LinkDiagram, ci, i, cj, j) -> LinkDiagram:
         (xi[(i + 1) % 4], xj[(j + 2) % 4]),   # the strand through xj[j]
     ]
     return _rewired(d, (ci, cj), merges)
+
+
+# ---------------------------------------------------------------------------
+# The reduction kernel of the skein engines
+# ---------------------------------------------------------------------------
+
+def _turn(t):
+    """Dart t turned one slot counterclockwise on its crossing."""
+    return t + 1 if t & 3 != 3 else t - 3
+
+
+def _stripped(opp, lab, alive, signs, loops, seeds):
+    """Strip curls and parallel bigons in place, then compact: (diagram, loops, chirality).
+
+    ``opp`` and ``lab`` give each dart's partner and edge label and
+    ``alive`` flags each crossing; the three change in place.  ``signs`` is
+    a list or None.  Every curl and parallel bigon must have a dart in
+    ``seeds``.  The order is that of ``strip_curl`` on the first curl by
+    crossing index, else ``strip_bigon`` on the first of
+    ``bigon_reductions``, and chirality sums ``curl_sign`` over the curls
+    stripped.  The diagram returned has no free loops (they are added to
+    ``loops``) and carries its dart array.
+    """
+    chirality = 0
+    while seeds:
+        hot, curl, bigon = [], None, None
+        for t in seeds:
+            c = t >> 2
+            if alive[c]:
+                u = opp[t]
+                if u >> 2 == c:
+                    if (t - u) & 1:                 # one edge on adjacent slots
+                        hot.append(t)
+                        if curl is None or c < curl:
+                            curl = c
+                    continue
+                u = u + 1 if u & 3 != 3 else u - 3  # the next dart of t's face
+                v = opp[u]
+                if (v + 1 if v & 3 != 3 else v - 3) == t and (t - u) & 1:
+                    hot.append(t)               # a 2-cycle t, u: a parallel bigon
+                    low = t if t < u else u
+                    if bigon is None or low < bigon:
+                        bigon = low
+        seeds = hot
+        if curl is not None:
+            base = 4 * curl
+            slot = next(s for s in range(4) if opp[base + s] == base + (s + 1) % 4)
+            chirality += 1 if slot in (0, 2) else -1
+            alive[curl] = False
+            merges = ((base + (slot ^ 2), _turn(base + (slot ^ 2))),)
+        elif bigon is not None:
+            t = bigon
+            u = _turn(opp[t])
+            alive[t >> 2] = alive[u >> 2] = False
+            merges = ((t ^ 2, _turn(u)), (_turn(t), u ^ 2))
+        else:
+            break
+        for p, q in merges:
+            loops += _merge(opp, lab, p, q, seeds)
+    return _compacted(opp, lab, alive, signs), loops, chirality
+
+
+def _merge(opp, lab, p, q, seeds):
+    """Join the edges at darts p and q of a crossing being erased; 1 if that closes a loop.
+
+    As in ``_rewired``, the joined edge keeps p's label.  Both darts whose
+    partner changes join ``seeds``.
+    """
+    u, v = opp[p], opp[q]
+    if u == q:
+        return 1
+    opp[u], opp[v] = v, u
+    lab[v] = lab[p]
+    seeds += (u, v)
+    return 0
+
+
+def _compacted(opp, lab, alive, signs):
+    """The live crossings as a diagram without free loops, carrying its dart array."""
+    quads = zip(lab[0::4], lab[1::4], lab[2::4], lab[3::4])
+    if all(alive):
+        crossings = tuple(quads)
+    else:
+        crossings = tuple(compress(quads, alive))
+        if signs is not None:
+            signs = compress(signs, alive)
+        live = list(chain.from_iterable(zip(alive, alive, alive, alive)))
+        moved = list(accumulate(live, initial=0))      # a live dart t moves to moved[t]
+        opp = list(map(moved.__getitem__, compress(opp, live)))
+    d = LinkDiagram._trusted(crossings, None if signs is None else tuple(signs), 0)
+    d._opp = opp
+    return d
+
+
+def _reduced(d):
+    """d with its curls and parallel bigons stripped: (diagram, free loops, chirality).
+
+    Every dart is a seed, so d may be any diagram.
+    """
+    n = len(d.crossings)
+    return _stripped(list(d.opp()), list(chain.from_iterable(d.crossings)), [True] * n,
+                     None if d.signs is None else list(d.signs), d.free_loops,
+                     list(range(4 * n)))
+
+
+def _reduced_child(d, ci, pairs=None):
+    """A skein child of the reduced diagram d at crossing ci, reduced as ``_reduced`` does.
+
+    With ``pairs`` None the crossing is switched as ``switched`` does;
+    else it is erased and its slot pairs are joined in order as ``_smooth``
+    does, keeping d's signs, if any.  d has no curl and no parallel bigon,
+    so the darts whose partner the surgery changed are the only seeds.
+    """
+    opp = list(d.opp())
+    lab = list(chain.from_iterable(d.crossings))
+    alive = [True] * len(d.crossings)
+    signs = None if d.signs is None else list(d.signs)
+    loops, seeds, base = d.free_loops, [], 4 * ci
+    if pairs is None:
+        # as in _flipped: slot s moves to s + 1 at a +1 crossing, else to s - 1
+        turn = 1 if signs is not None and signs[ci] == 1 else 3
+        partners, labels = opp[base:base + 4], lab[base:base + 4]
+        for s in range(4):
+            t, u = base + (s + turn) % 4, partners[s]
+            if u >> 2 == ci:
+                u = base + (u + turn) % 4
+            opp[t], opp[u] = u, t
+            lab[t] = labels[s]
+            seeds += (t, u)
+        if signs is not None:
+            signs[ci] = -signs[ci]
+    else:
+        alive[ci] = False
+        for i, j in pairs:
+            loops += _merge(opp, lab, base + i, base + j, seeds)
+    return _stripped(opp, lab, alive, signs, loops, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ class HomflyEngine(SkeinEngine):
         return _delta_pow(d.num_components() - 1)
 
     def _branch(self, d, bad):
-        sw = yield dg.switched(d, bad)
-        sm = yield dg.oriented_smoothed(d, bad)
+        sw = yield dg._reduced_child(d, bad)
+        sm = yield dg._reduced_child(d, bad, dg._oriented_pairs(d.signs[bad]))
         if d.signs[bad] == 1:
             # 1/v P(L+) - v P(L-) = z P(L0), solved for the + crossing
             return _V2 * sw + _VZ * sm

@@ -146,9 +146,9 @@ class KauffmanEngine(SkeinEngine):
         return DubVal.loops(d.num_components()) * _alpha_power(alpha)
 
     def _branch(self, d, bad):
-        sw = yield dg.switched(d, bad)
-        s01 = yield dg.smoothed(d, bad, "01")
-        s03 = yield dg.smoothed(d, bad, "03")
+        sw = yield dg._reduced_child(d, bad)
+        s01 = yield dg._reduced_child(d, bad, dg._SMOOTHINGS["01"])
+        s03 = yield dg._reduced_child(d, bad, dg._SMOOTHINGS["03"])
         return sw + (s01 - s03) * _Z
 
 

@@ -15,30 +15,34 @@ every label, so the walk's bad count, or for unoriented diagrams the
 least bad count over every direction and order, falls by at least 1,
 and each smoothing, strip or split removes crossings from a part.
 
-Before branching, every node strips curls and parallel bigons eagerly:
-the first curl by crossing index, else the first parallel bigon, then
-the search restarts.  ``diagrams.first_curl`` finds the curl in one pass
-over the crossings, and ``diagrams.bigon_reductions`` finds the bigons in
-one scan over the darts, in the order ``faces`` would list them, so no
-node builds its faces.  Free loops ride through the strip loop, to which
-each strip may add, and are counted once after it; split diagrams factor
-into their connected parts, and connected parts of every size are
-memoized on ``diagrams.canonical_key``, which is invariant under
-relabeling and, for oriented parts, under reversing every component.
-A part reaches the key already split: ``subdiagram`` marks it as one
-part, and a diagram of one part keeps the parts it was split by, so the
-key never runs ``connected_parts`` again.  The strip order decides which
-diagrams get memoized, so it is part of the engines' node counts.
+Every node is evaluated reduced: its curls and parallel bigons are
+stripped, the first curl by crossing index, else the first parallel
+bigon, then the search restarts.  ``diagrams._reduced`` strips the
+diagram a public call is given, and each branch hook builds its children
+with ``diagrams._reduced_child``, which strips in place on the parent
+part's dart array from the darts the surgery touched (see ``diagrams``),
+so no node builds its faces and no child rebuilds its dart array.  Free loops and
+the summed chirality of the stripped curls come with the diagram, and
+the loops are counted once; split diagrams factor into their connected
+parts, and connected parts of every size are memoized on
+``diagrams.canonical_key``, which is invariant under relabeling and, for
+oriented parts, under reversing every component.  A part reaches the key
+already split: ``subdiagram`` marks it as one part, and a diagram of one
+part keeps the parts it was split by, so the key never runs
+``connected_parts`` again.  The strip order decides which diagrams get
+memoized, so it is part of the engines' node counts.
 
 ``SkeinEngine`` holds that skeleton; a subclass supplies the relation
 through three hooks: ``_combine(loops, chirality, parts)`` for a reduced
 diagram from its free loops, the summed chirality of its stripped curls
 and its connected parts' values, ``_descending(d)`` for a connected
 descending diagram, and ``_branch(d, bad)``, which applies the relation
-at crossing ``bad``: a generator that yields each child diagram, is sent
-its value and returns its own.  ``_run`` drives all nodes from one loop
-over a stack of suspended ``_eval`` generators, so depth costs list
-entries, not interpreter frames, and the recursion limit stays as it is.
+at crossing ``bad`` of a reduced connected part: a generator that yields
+each child as ``_reduced_child`` returns it, a triple (diagram, free
+loops, chirality), is sent its value and returns its own.  ``_run``
+drives all nodes from one loop over a stack of suspended ``_eval``
+generators, so depth costs list entries, not interpreter frames, and the
+recursion limit stays as it is.
 """
 
 from __future__ import annotations
@@ -71,10 +75,10 @@ class SkeinEngine:
     def _run(self, d: dg.LinkDiagram):
         """Evaluate d as one public call: each yielded child is pushed, each value sent back."""
         self.nodes = 0
-        stack, value = [self._eval(d)], None
+        stack, value = [self._eval(*dg._reduced(d))], None
         while True:
             try:
-                stack.append(self._eval(stack[-1].send(value)))
+                stack.append(self._eval(*stack[-1].send(value)))
                 value = None
             except StopIteration as done:
                 stack.pop()
@@ -105,25 +109,10 @@ class SkeinEngine:
         if n > unspent.bit_length() or base ** n > unspent:
             raise self._limit(f": {base}^{n} terms")
 
-    def _eval(self, d: dg.LinkDiagram):
+    def _eval(self, d: dg.LinkDiagram, loops, chirality):
         self._tick()
-        chirality = 0
-        while d.crossings:
-            curl = dg.first_curl(d)
-            if curl is not None:
-                ci, sign = curl
-                chirality += sign
-                d = dg.strip_curl(d, ci)
-                continue
-            bigons = dg.bigon_reductions(d)
-            if not bigons:
-                break                       # nothing left to strip
-            d = dg.strip_bigon(d, *bigons[0])
-        loops = d.free_loops
         if loops > self.budget:                 # no node count bounds building delta^loops
             raise self._limit(f" by {loops} free loops")
-        if loops:
-            d = dg.LinkDiagram._trusted(d.crossings, d.signs, 0)
         parts = dg.connected_parts(d) if d.crossings else []
         values = []
         for part in parts:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -661,17 +662,44 @@ def _ref_bigons(d):
     return found
 
 
-def _ref_stripped(d):
-    """d with curls and parallel bigons stripped in the engines' order."""
+def _ref_reduced(d, strips):
+    """(d with curls and parallel bigons stripped in the engines' order, summed chirality).
+
+    The first curl by index, else the first parallel bigon, each counted
+    in ``strips``; the chirality sums ``curl_sign`` over the curls.
+    """
+    chirality = 0
     while True:
         curl = next((ci for ci in range(len(d.crossings)) if curl_sign(d, ci) is not None), None)
         if curl is not None:
+            chirality += curl_sign(d, curl)
+            strips["curl"] += 1
             d = strip_curl(d, curl)
             continue
         bigons = _ref_bigons(d)
         if not bigons:
-            return d
+            return d, chirality
+        strips["bigon"] += 1
         d = strip_bigon(d, *bigons[0])
+
+
+def _ref_stripped(d):
+    """d with curls and parallel bigons stripped in the engines' order."""
+    return _ref_reduced(d, Counter())[0]
+
+
+def _assert_reduced(got, d, strips):
+    """got, a (diagram, free loops, chirality) triple, is d reduced by the reference loop.
+
+    The diagram must carry the dart array a fresh diagram of its crossings
+    builds, and keep its free loops apart.
+    """
+    ref, ref_chirality = _ref_reduced(d, strips)
+    child, loops, chirality = got
+    assert (child.crossings, child.signs, loops, chirality) == (
+        ref.crossings, ref.signs, ref.free_loops, ref_chirality), diagram_to_text(d)
+    assert child.free_loops == 0
+    assert child._opp == LinkDiagram(child.crossings, child.signs).opp(), diagram_to_text(d)
 
 
 def _oracle_diagrams(seed, count):
@@ -784,34 +812,70 @@ def test_bigon_reductions_match_faces():
 
 
 def test_engines_strip_the_first_curl_and_bigon(monkeypatch):
-    # every strip the engines make must be the one the reference order names:
-    # the first curl by index, else the first parallel bigon
+    # every diagram the engines evaluate, root and child, must be the public
+    # surgery's child reduced by the reference order: the first curl by
+    # index, else the first parallel bigon, with the curls' summed chirality
     import skeinpoly.diagrams as dg
     from skeinpoly.homfly import HomflyEngine
     from skeinpoly.kauffman import KauffmanEngine
 
-    orig_curl, orig_bigon = dg.strip_curl, dg.strip_bigon
-    strips = []
+    strips = Counter()
+    reduced = dg._reduced
 
-    def checked_curl(d, ci):
-        strips.append("curl")
-        assert ci == next(c for c in range(len(d.crossings)) if curl_sign(d, c) is not None)
-        return orig_curl(d, ci)
+    def checked_root(d):
+        got = reduced(d)
+        _assert_reduced(got, d, strips)
+        return got
 
-    def checked_bigon(d, *bigon):
-        strips.append("bigon")
-        assert all(curl_sign(d, c) is None for c in range(len(d.crossings)))
-        assert bigon == _ref_bigons(d)[0]
-        return orig_bigon(d, *bigon)
+    def checked(branch, surgeries):
+        def wrapped(engine, d, bad):
+            children = branch(engine, d, bad)
+            value, expected = None, [surgery(d, bad) for surgery in surgeries]
+            while True:
+                try:
+                    got = children.send(value)
+                except StopIteration as done:
+                    assert not expected
+                    return done.value
+                _assert_reduced(got, expected.pop(0), strips)
+                value = yield got
+        return wrapped
 
-    monkeypatch.setattr(dg, "strip_curl", checked_curl)
-    monkeypatch.setattr(dg, "strip_bigon", checked_bigon)
+    monkeypatch.setattr(dg, "_reduced", checked_root)
+    monkeypatch.setattr(HomflyEngine, "_branch", checked(
+        HomflyEngine._branch, (switched, oriented_smoothed)))
+    monkeypatch.setattr(KauffmanEngine, "_branch", checked(
+        KauffmanEngine._branch,
+        (switched, lambda d, ci: smoothed(d, ci, "01"), lambda d, ci: smoothed(d, ci, "03"))))
     for d in _reduction_diagrams():
         if len(d.crossings) <= 12:
             KauffmanEngine().value(d)
             if d.oriented and d.num_components():
                 HomflyEngine().p(d)
-    assert strips.count("curl") > 100 and strips.count("bigon") > 100
+    assert strips["curl"] > 100 and strips["bigon"] > 100
+
+
+def test_seeded_children_equal_the_reference_strip():
+    # the seed rule: a child built from a reduced diagram's arrays and seeded
+    # only at the darts whose partner changed is the public surgery reduced by
+    # the reference loop, at every crossing and not only the walk's choice
+    import skeinpoly.diagrams as dg
+
+    strips, crossings = Counter(), 0
+    for d in _oracle_diagrams(2024, 25):
+        d = _ref_stripped(d)
+        d = LinkDiagram(d.crossings, d.signs, d.free_loops)     # a fresh dart array
+        for ci in range(len(d.crossings)):
+            _assert_reduced(dg._reduced_child(d, ci), switched(d, ci), strips)
+            if d.oriented:
+                _assert_reduced(dg._reduced_child(d, ci, dg._oriented_pairs(d.signs[ci])),
+                                oriented_smoothed(d, ci), strips)
+            else:
+                for which in ("01", "03"):
+                    _assert_reduced(dg._reduced_child(d, ci, dg._SMOOTHINGS[which]),
+                                    smoothed(d, ci, which), strips)
+            crossings += 1
+    assert crossings > 1000 and strips["curl"] > 100 and strips["bigon"] > 100
 
 
 # ---------------------------------------------------------------------------
