@@ -41,10 +41,7 @@ from .skein import DEFAULT_BUDGET, SkeinEngine  # noqa: F401  (DEFAULT_BUDGET re
 #: (1/v - v)/z, the value of an extra split unknot.
 DELTA = LaurentPoly(("v", "z"), {(-1, -1): 1, (1, -1): -1})
 
-_V2 = LaurentPoly(("v", "z"), {(2, 0): 1})
-_VZ = LaurentPoly(("v", "z"), {(1, 1): 1})
-_VM2 = LaurentPoly(("v", "z"), {(-2, 0): 1})
-_VMZ = LaurentPoly(("v", "z"), {(-1, 1): 1})
+_ONE = LaurentPoly.const(1, ("v", "z"))
 
 
 @functools.cache
@@ -58,6 +55,17 @@ class HomflyEngine(SkeinEngine):
     # bound here, not inherited: perfbench/spans.py patches each engine's own __init__
     __init__ = SkeinEngine.__init__
 
+    # each split part past the first and each loop is worth DELTA; P ignores curls
+    _unit_pow = staticmethod(_delta_pow)
+    _curl_pow = staticmethod(lambda n: _ONE)
+    # 1/v P(L+) - v P(L-) = z P(L0), solved for the crossing's own sign
+    _relation = {
+        1: ((None, LaurentPoly(("v", "z"), {(2, 0): 1})),
+            (dg._oriented_pairs(1), LaurentPoly(("v", "z"), {(1, 1): 1}))),
+        -1: ((None, LaurentPoly(("v", "z"), {(-2, 0): 1})),
+             (dg._oriented_pairs(-1), LaurentPoly(("v", "z"), {(-1, 1): -1}))),
+    }
+
     def p(self, d: dg.LinkDiagram) -> LaurentPoly:
         """P of a nonempty oriented diagram."""
         if d.signs is None and d.crossings:
@@ -65,27 +73,6 @@ class HomflyEngine(SkeinEngine):
         if d.num_components() == 0:
             raise ValidationError("P is defined for nonempty links only")
         return self._run(d)
-
-    def _combine(self, loops, chirality, parts):
-        # P ignores curls; each split part past the first and each loop is worth DELTA
-        if not parts:
-            return _delta_pow(loops - 1)
-        value = parts[0]
-        for part in parts[1:]:
-            value = value * part
-        return value * _delta_pow(len(parts) - 1 + loops)   # DELTA ** 0 is 1: no product
-
-    def _descending(self, d):
-        # a descending diagram is an unlink
-        return _delta_pow(d.num_components() - 1)
-
-    def _branch(self, d, bad):
-        sw = yield dg._reduced_child(d, bad)
-        sm = yield dg._reduced_child(d, bad, dg._oriented_pairs(d.signs[bad]))
-        if d.signs[bad] == 1:
-            # 1/v P(L+) - v P(L-) = z P(L0), solved for the + crossing
-            return _V2 * sw + _VZ * sm
-        return _VM2 * sw - _VMZ * sm
 
 
 _default_engine = HomflyEngine()

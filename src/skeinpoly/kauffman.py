@@ -17,14 +17,15 @@ and the loop normalization are each forced by the adjoint cabled value
 of the 0-framed unknot once the projector's twist crossing is defined
 as the one whose curl carries a^(+1); see the engine tests.
 
-Every value of the relation lies in Z[a^(+-1), z^(+-1)] (Kauffman, "An
-invariant of regular isotopy", Trans. AMS 318, 1990), so the engine
-computes D as a Laurent polynomial in (a, z) and never divides or
-converts.  ``DubVal.num`` and ``DubVal.k`` derive the printed form
-num / (s - 1/s)^k over (s, a) on demand, k being the order of the pole at
-z = 0, and ``DubVal.ratfunc`` builds it.  The two parts share no factor:
-s - 1/s vanishes only at s = 1 and s = -1, and there num is the value's
-z^(-k) row, which is not zero.
+For every nonempty link F = D/delta lies in Z[a^(+-1), z^(+-1)]
+(Kauffman, "An invariant of regular isotopy", Trans. AMS 318, 1990).  The
+engine computes F, which is 1 on the unknot as P is, as a Laurent
+polynomial in (a, z) and never divides or converts; the public value is
+delta F, and 1 on the empty diagram.  ``DubVal.num`` and ``DubVal.k``
+derive the printed form num / (s - 1/s)^k over (s, a) on demand, k being
+the order of the pole at z = 0, and ``DubVal.ratfunc`` builds it.  The
+two parts share no factor: s - 1/s vanishes only at s = 1 and s = -1,
+and there num is the value's z^(-k) row, which is not zero.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ _AZ = ("a", "z")
 _Z = LaurentPoly(_AZ, {(0, 1): 1})                                   # z = s - 1/s
 _DELTA = LaurentPoly(_AZ, {(0, 0): 1, (1, -1): 1, (-1, -1): -1})     # 1 + (a - 1/a)/z
 _S_MINUS = LaurentPoly(("s", "a"), {(1, 0): 1, (-1, 0): -1})          # s - 1/s, for printing
+_UNKNOT = dg.LinkDiagram((), None, 1)
 
 
 @functools.cache
@@ -53,7 +55,7 @@ def _s_minus_pow(k):
 
 
 class DubVal:
-    """A value of D: a Laurent polynomial in (a, z), z standing for s - 1/s.
+    """A value of D or F: a Laurent polynomial in (a, z), z standing for s - 1/s.
 
     Equality is structural.  ``k`` and ``num`` give the printed form
     num / (s - 1/s)^k over (s, a); see the module docstring.
@@ -121,35 +123,24 @@ def _alpha_power(n):
 
 
 class KauffmanEngine(SkeinEngine):
-    """The skein engine for D; see ``SkeinEngine`` for the constructor."""
+    """The skein engine for F = D/delta; see ``SkeinEngine`` for the constructor."""
 
     # bound here, not inherited: perfbench/spans.py patches each engine's own __init__
     __init__ = SkeinEngine.__init__
 
+    _unit_pow = staticmethod(lambda n: DubVal.loops(n))     # by attribute: perfbench wraps it
+    _curl_pow = staticmethod(_alpha_power)                  # a^chirality per stripped curl
+    # D(X) = D(switch X) + z D(join 0-1) - z D(join 0-3), and so is F
+    _relation = {None: ((None, LaurentPoly.const(1, _AZ)), (dg._SMOOTHINGS["01"], _Z),
+                        (dg._SMOOTHINGS["03"], -_Z))}
+
     def value(self, d: dg.LinkDiagram) -> DubVal:
-        """D of a diagram; any orientation is ignored."""
+        """D of a diagram, delta times the engine's F; any orientation is ignored."""
         if d.signs is not None:
             d = dg.LinkDiagram._trusted(d.crossings, None, d.free_loops)
-        return self._run(d)
-
-    def _combine(self, loops, chirality, parts):
-        value = DubVal.loops(loops)                     # loops(0) is 1
-        for part in parts:
-            value = value * part
-        if chirality:
-            value = value * _alpha_power(chirality)      # a^chirality per stripped curl
-        return value
-
-    def _descending(self, d):
-        # a split union of unknots carrying their framings
-        alpha = sum(dg.self_writhes(d))
-        return DubVal.loops(d.num_components()) * _alpha_power(alpha)
-
-    def _branch(self, d, bad):
-        sw = yield dg._reduced_child(d, bad)
-        s01 = yield dg._reduced_child(d, bad, dg._SMOOTHINGS["01"])
-        s03 = yield dg._reduced_child(d, bad, dg._SMOOTHINGS["03"])
-        return sw + (s01 - s03) * _Z
+        if d.num_components():
+            return self._run(d) * _DELTA
+        return self._run(_UNKNOT)           # D(empty) = 1 = F(unknot), also at one node
 
 
 _default_engine = KauffmanEngine()

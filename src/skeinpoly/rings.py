@@ -296,13 +296,10 @@ class LaurentPoly:
             (exps, c), = self.terms.items()
             inv = Fraction(1) / Fraction(c)
             return LaurentPoly._trusted(self.vars, {tuple(e * k for e in exps): _norm_coeff(inv ** (-k))})
+        # repeated products, not squaring: every caller's base is sparse
         result = LaurentPoly.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def shifted(self, monomial_exps):

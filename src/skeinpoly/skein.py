@@ -18,8 +18,8 @@ and each smoothing, strip or split removes crossings from a part.
 Every node is evaluated reduced: its curls and parallel bigons are
 stripped, the first curl by crossing index, else the first parallel
 bigon, then the search restarts.  ``diagrams._reduced`` strips the
-diagram a public call is given, and each branch hook builds its children
-with ``diagrams._reduced_child``, which strips in place on the parent
+diagram a public call is given, and ``_branch`` builds each child with
+``diagrams._reduced_child``, which strips in place on the parent
 part's dart array from the darts the surgery touched (see ``diagrams``),
 so no node builds its faces and no child rebuilds its dart array.  Free loops and
 the summed chirality of the stripped curls come with the diagram, and
@@ -32,17 +32,22 @@ part keeps the parts it was split by, so the key never runs
 ``connected_parts`` again.  The strip order decides which diagrams get
 memoized, so it is part of the engines' node counts.
 
-``SkeinEngine`` holds that skeleton; a subclass supplies the relation
-through three hooks: ``_combine(loops, chirality, parts)`` for a reduced
-diagram from its free loops, the summed chirality of its stripped curls
-and its connected parts' values, ``_descending(d)`` for a connected
-descending diagram, and ``_branch(d, bad)``, which applies the relation
-at crossing ``bad`` of a reduced connected part: a generator that yields
-each child as ``_reduced_child`` returns it, a triple (diagram, free
-loops, chirality), is sent its value and returns its own.  ``_run``
-drives all nodes from one loop over a stack of suspended ``_eval``
-generators, so depth costs list entries, not interpreter frames, and the
-recursion limit stays as it is.
+``SkeinEngine`` holds that skeleton and the one rule that values it.
+Each engine's value is 1 on the unknot (P for HOMFLY, F = D/delta for
+Kauffman), so it multiplies over split parts and connected sums without
+division.  ``_combine(loops, chirality, parts)`` values a reduced diagram
+as unit^(parts - 1 + loops) times the parts' product times
+curl^chirality; a connected descending part, a split union of framed
+unknots, is ``_combine(components, summed self-writhes, ())``; and
+``_branch(d, bad)`` applies the relation at crossing ``bad`` of a reduced
+connected part: for each (pairs, weight) row it yields
+``_reduced_child(d, bad, pairs)``, a triple (diagram, free loops,
+chirality), is sent the child's value, and returns the sum of child times
+weight.  An engine supplies ``_unit_pow(n)``, ``_curl_pow(n)`` and the
+rows as ``_relation``, keyed by the crossing's sign (None if unoriented).
+``_run`` drives all nodes from one loop over a stack of suspended
+``_eval`` generators, so depth costs list entries, not interpreter
+frames, and the recursion limit stays as it is.
 """
 
 from __future__ import annotations
@@ -121,11 +126,26 @@ class SkeinEngine:
             value = None if key is None else self.memo.get(key)
             if value is None:
                 bad = dg.first_bad_crossing(part, self.rng)
-                if bad is None:
-                    value = self._descending(part)
+                if bad is None:                 # a split union of framed unknots
+                    value = self._combine(part.num_components(), sum(dg.self_writhes(part)), ())
                 else:
                     value = yield from self._branch(part, bad)
                 if key is not None:
                     self.memo[key] = value
             values.append(value)
         return self._combine(loops, chirality, values)
+
+    def _combine(self, loops, chirality, parts):
+        value = self._unit_pow(len(parts) - 1 + loops)
+        for part in parts:
+            value = value * part
+        if chirality:
+            value = value * self._curl_pow(chirality)
+        return value
+
+    def _branch(self, d, bad):
+        value = None
+        for pairs, weight in self._relation[None if d.signs is None else d.signs[bad]]:
+            term = (yield dg._reduced_child(d, bad, pairs)) * weight
+            value = term if value is None else value + term
+        return value
