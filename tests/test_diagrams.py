@@ -560,6 +560,36 @@ def test_walks_golden_hash():
     assert digest == "2e8313003997c9241d332b78eb85673f7df8c5b09ed02e2c3a3ae6b53220fdbd"
 
 
+def test_every_ladder_cable_is_a_valid_planar_diagram_with_its_components():
+    # the digests pin the cables' bytes; this pins their validity: each
+    # cable re-parses through the public checks (well-formed, consistently
+    # oriented, Euler's formula), and a pattern yields 2, 1, 1 or 2 (odd or
+    # even twist) or 0 components of the cable
+    def strands(pat):
+        if pat.kind == CablePattern.TWIST:
+            return 1 if pat.twist % 2 else 2
+        return {CablePattern.PARALLEL: 2, CablePattern.TURNBACK: 1, CablePattern.DELETE: 0}[pat.kind]
+
+    patterns = [CablePattern.parallel2(), CablePattern.twisted(1), CablePattern.twisted(-1),
+                CablePattern.twisted(2), CablePattern.twisted(-3), CablePattern.twisted(4),
+                CablePattern.turnback(), CablePattern.delete()]
+    cables = 0
+    for d in _golden_ladder():
+        for mode, pat, first_only in product(("antiparallel", "parallel"), patterns, (False, True)):
+            pats = {i: pat if i == 0 or not first_only else patterns[0]
+                    for i in range(d.num_components())}
+            c = cable2(d, pats, mode)
+            text = diagram_to_text(c)
+            where = f"{diagram_to_text(d)} {mode} {pat} {first_only}: {text}"
+            parsed = parse_diagram(text)
+            assert (parsed.crossings, parsed.free_loops) == (c.crossings, c.free_loops), where
+            if c.crossings:
+                assert parsed.signs == c.signs, where
+            assert c.num_components() == sum(map(strands, pats.values())), where
+            cables += 1
+    assert cables == 896
+
+
 # ---------------------------------------------------------------------------
 # Oracles for the key encoder and the strip order, each written out here
 # ---------------------------------------------------------------------------
