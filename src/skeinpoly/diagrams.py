@@ -1265,36 +1265,28 @@ def _orient_arbitrarily(d: LinkDiagram) -> LinkDiagram:
                                 d.free_loops)
 
 
-class _CableBuilder:
-    """New crossings plus port links; port ``4*ci + slot`` is the cable's dart."""
-
-    __slots__ = ("links", "ports")
-
-    def __init__(self):
-        self.links = []
-        self.ports = 0
-
-    def new_crossing(self):
-        base = self.ports
-        self.ports += 4
-        return base
-
-    def link(self, p, q):
-        self.links.append((p, q))
-
-
 def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
     """Blackboard 2-cable with a per-component pattern insertion.
 
     Every crossing among kept components becomes four crossings; each
     component's pattern is spliced in at one point, the component's
-    smallest edge id.  In antiparallel mode the second parallel copy
-    is oriented against the first, which gives the pattern-free cable of
-    any oriented diagram total writhe zero.  The output is oriented iff
-    the input is.
+    smallest edge id, which its walk in ``strands()`` starts from.  In
+    antiparallel mode the second parallel copy is oriented against the
+    first, which gives the pattern-free cable of any oriented diagram total
+    writhe zero.  The output is oriented iff the input is.
 
     ``patterns`` maps every component index (free loops included) to a
     CablePattern.
+
+    The cable is built on integer ports, which become its darts.  Crossing
+    ci of the (oriented) input becomes a 2 x 2 grid of crossings: port
+    ``16*ci + 8*col + 4*row + slot`` is slot ``slot`` of the grid crossing
+    in column col (0 = W, 1 = E) and row row (0 = S, 1 = N).  The
+    under-strand runs upward through the columns, copy 0 (its left) in W,
+    and the over-strand through the rows, copy 0 in the row on its left.
+    Twist-chain crossings follow from port ``16*n``, one chain per twisted
+    component in component order.  ``partner`` pairs the ports linked by
+    an edge; each edge is named by its smaller port, then relabeled densely.
     """
     if mode not in ("antiparallel", "parallel"):
         raise ValidationError(f"unknown cable mode {mode!r}")
@@ -1312,37 +1304,30 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
     work = d if oriented_out else _orient_arbitrarily(d)
     opp, walks = work.opp(), work.strands()
     head = _flow_heads(work)
+    partner = [0] * (16 * len(work.crossings))
 
-    builder = _CableBuilder()
-    loops_extra = 0
+    def port(ci, col, row, slot):
+        return 16 * ci + 8 * col + 4 * row + slot
 
-    # grids: per original crossing, four sub-crossings indexed by geometric
-    # (column, row); the under-strand runs upward through columns W (its
-    # left, carrying copy 0) and E, the over-strand through rows
-    grid = []
+    def link(p, q):
+        partner[p] = q
+        partner[q] = p
+
     for ci in range(len(work.crossings)):
-        g = {(col, row): builder.new_crossing() for col in ("W", "E") for row in ("S", "N")}
-        for col in ("W", "E"):
-            builder.link(g[(col, "S")] + 2, g[(col, "N")] + 0)
-        for row in ("S", "N"):
-            builder.link(g[("W", row)] + 1, g[("E", row)] + 3)
-        grid.append(g)
+        for col in (0, 1):                       # up each column: S's slot 2 to N's slot 0
+            link(port(ci, col, 0, 2), port(ci, col, 1, 0))
+        for row in (0, 1):                       # along each row: W's slot 1 to E's slot 3
+            link(port(ci, 0, row, 1), port(ci, 1, row, 3))
 
     def stub(t, copy):
         """Port where copy 0/1 of the edge at dart t attaches."""
         ci, slot = divmod(t, 4)
-        g = grid[ci]
-        if slot in (0, 2):
-            col = "W" if copy == 0 else "E"
-            return g[(col, "S")] + 0 if slot == 0 else g[(col, "N")] + 2
-        if work.signs[ci] == 1:      # over flows W -> E; its left is row N
-            row = "N" if copy == 0 else "S"
-        else:                        # over flows E -> W; its left is row S
-            row = "S" if copy == 0 else "N"
-        return g[("W", row)] + 3 if slot == 3 else g[("E", row)] + 1
-
-    seed_fwd = []                    # tail ports whose walks orient the cable first
-    seed_alt = []                    # tail ports under the mode rule, for strands left over
+        if slot in (0, 2):                       # under: slot 0 enters row S, slot 2 leaves N
+            return port(ci, copy, slot // 2, slot)
+        # over: slot 3 is on column W, slot 1 on E; a +1 over-strand flows
+        # W -> E, so its left is row N, and a -1 one flows E -> W
+        row = 1 - copy if work.signs[ci] == 1 else copy
+        return port(ci, 1 if slot == 1 else 0, row, slot)
 
     def twist_chain(twist):
         """((copy 0, copy 1) in ports, (copy 0, copy 1) out ports) of |twist| crossings."""
@@ -1352,7 +1337,8 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
         # and silently build a non-planar code
         ins = outs = None
         for _ in range(abs(twist)):
-            base = builder.new_crossing()
+            base = len(partner)
+            partner.extend((0, 0, 0, 0))
             if twist > 0:
                 # provisional CCW (TL, BL, BR, TR); under TL -> BR
                 i, o = (base + 3, base + 0), (base + 2, base + 1)
@@ -1362,76 +1348,65 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
             if outs is None:
                 ins = i
             else:
-                builder.link(outs[0], i[0])
-                builder.link(outs[1], i[1])
+                link(outs[0], i[0])
+                link(outs[1], i[1])
             outs = o
         return ins, outs
 
-    for comp_idx, (walk, comp) in enumerate(zip(walks, work.edge_components())):
+    seed_fwd = []                    # tail ports whose walks orient the cable first
+    seed_alt = []                    # tail ports under the mode rule, for strands left over
+    for comp_idx, walk in enumerate(walks):
         pat = patterns[comp_idx]
-        ins_edge = comp[0]
-        for t, e in zip(walk, comp):
+        for t in walk:
             h = t if head[t] else opp[t]
             t0, t1 = stub(opp[h], 0), stub(opp[h], 1)
             h0, h1 = stub(h, 0), stub(h, 1)
-            if e != ins_edge or pat.kind == CablePattern.PARALLEL:
-                builder.link(t0, h0)
-                builder.link(t1, h1)
+            if t != walk[0] or pat.kind == CablePattern.PARALLEL:
+                link(t0, h0)
+                link(t1, h1)
                 seed_fwd.append(t0)
                 seed_alt.append(t1 if mode == "parallel" else h1)
             elif pat.kind == CablePattern.TURNBACK:
-                builder.link(t0, t1)
-                builder.link(h0, h1)
+                link(t0, t1)
+                link(h0, h1)
                 seed_fwd.append(t0)
             else:
                 (i0, i1), (o0, o1) = twist_chain(pat.twist)
                 for a, b in ((t0, i0), (t1, i1), (o0, h0), (o1, h1)):
-                    builder.link(a, b)
+                    link(a, b)
                 seed_fwd.append(t0)
 
-    # free-loop components
-    for idx in range(len(walks), total):
+    loops = 0
+    for idx in range(len(walks), total):         # free-loop components
         pat = patterns[idx]
         if pat.kind == CablePattern.PARALLEL:
-            loops_extra += 2
+            loops += 2
         elif pat.kind == CablePattern.TURNBACK:
-            loops_extra += 1
+            loops += 1
         else:
             (i0, i1), (o0, o1) = twist_chain(pat.twist)
-            builder.link(o0, i0)
-            builder.link(o1, i1)
+            link(o0, i0)
+            link(o1, i1)
             seed_fwd.append(o1)
             # an even twist leaves copy 0 a component of its own
             seed_alt.append(o0 if mode == "parallel" else i0)
 
-    return _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra)
-
-
-def _finish_cable(builder, seed_fwd, seed_alt, oriented_out, loops_extra):
-    """Resolve ports into edges, propagate orientation, fix slot rotations.
-
-    Each seed is a tail port; the walk from it flags head darts until it
-    meets an edge that already has one.
-    """
-    edge = [0] * builder.ports
-    for eid, (a, b) in enumerate(builder.links):
-        edge[a] = edge[b] = eid
-    cable = LinkDiagram._trusted(tuple(tuple(edge[t:t + 4]) for t in range(0, builder.ports, 4)),
-                                 None, loops_extra)
+    edge = [min(p, q) for p, q in enumerate(partner)]
+    crossings = tuple(tuple(edge[t:t + 4]) for t in range(0, len(edge), 4))
     if not oriented_out:
-        return _relabel_dense(cable)
-    opp = cable.opp()
-    head = [False] * builder.ports
+        return _relabel_dense(LinkDiagram._trusted(crossings, None, loops))
+    # each seed is a tail port; the walk from it flags head ports until it
+    # meets an edge that already has one
+    head = [False] * len(partner)
     for t in seed_fwd + seed_alt:
-        while not (head[t] or head[opp[t]]):
-            t = opp[t]
+        while not (head[t] or head[partner[t]]):
+            t = partner[t]
             head[t] = True
             t ^= 2
-    normal = [_normalized(x, ci, head) for ci, x in enumerate(cable.crossings)]
+    normal = [_normalized(x, ci, head) for ci, x in enumerate(crossings)]
     if None in normal:
         raise ValidationError("cable orientation propagation failed")
-    return _relabel_dense(LinkDiagram([x for x, _ in normal], [s for _, s in normal],
-                                      loops_extra))
+    return _relabel_dense(LinkDiagram([x for x, _ in normal], [s for _, s in normal], loops))
 
 
 def homfly_adjoint_expansion(d: LinkDiagram):
@@ -1492,12 +1467,10 @@ def kauffman_adjoint_expansion(d: LinkDiagram):
         (CablePattern.turnback(), c_turn),
     )
     terms = []
-    for assignment in _iter_product(range(3), repeat=n):
-        patterns = {}
+    for assignment in _iter_product(choices, repeat=n):
         coeff = RatFunc(1)
-        for i, choice in enumerate(assignment):
-            pat, c = choices[choice]
-            patterns[i] = pat
+        for _, c in assignment:
             coeff = coeff * c
+        patterns = {i: pat for i, (pat, _) in enumerate(assignment)}
         terms.append((coeff, cable2(base, patterns, mode="parallel")))
     return terms
