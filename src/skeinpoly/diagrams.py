@@ -27,7 +27,8 @@ edge consistently, and an int free-loop count >= 0; else it raises
 ``ValidationError``.  PD text and JSON input (``parse_diagram``,
 ``diagram_from_json``) raise ``ParseError`` on a non-integer field and
 are also checked for planarity by Euler's formula: a connected part with
-n crossings must have n + 2 faces.  The surgeries of this module build
+n crossings must have n + 2 faces; the skein engines check the diagram
+of every public call the same way (``_planar``).  The surgeries of this module build
 their results with ``LinkDiagram._trusted``, which checks nothing: it
 trusts its caller to pass a tuple of int 4-tuples, a tuple of signs or
 None, and an int loop count that already form a well-formed diagram, as
@@ -330,7 +331,7 @@ def parse_diagram(text):
 def _planar(d: LinkDiagram) -> LinkDiagram:
     """d itself, once Euler's formula F = n + 2 holds for each connected part."""
     if d.crossings:
-        found, needed = len(faces(d)), len(d.crossings) + 2 * len(connected_parts(d))
+        found, needed = _face_sizes(d.opp())[1], len(d.crossings) + 2 * len(d.parts())
         if found != needed:
             raise ValidationError(f"PD code is not planar: {found} faces where "
                                   f"Euler's formula needs {needed}")
@@ -739,6 +740,25 @@ def _face_successor(opp):
     return [u + 1 if u & 3 != 3 else u - 3 for u in opp]
 
 
+def _face_sizes(opp):
+    """The size of each dart's face, and the number of faces: one walk per face."""
+    succ = _face_successor(opp)
+    size = [0] * len(opp)
+    count = 0
+    for t0 in range(len(opp)):
+        if not size[t0]:
+            face = [t0]
+            t = succ[t0]
+            while t != t0:
+                face.append(t)
+                t = succ[t]
+            n = len(face)
+            for t in face:
+                size[t] = n
+            count += 1
+    return size, count
+
+
 def faces(d: LinkDiagram):
     """Orbits of the face permutation dart -> ccw-next(other end of dart).
 
@@ -926,6 +946,11 @@ def _reduced_child(d, ci, pairs=None):
     else it is erased and its slot pairs are joined in order as ``_smooth``
     does, keeping d's signs, if any.  d has no curl and no parallel bigon,
     so the darts whose partner the surgery changed are the only seeds.
+    d is also planar, as every engine root is checked to be, and a
+    curl-free planar part has no edge between two slots of one crossing:
+    adjacent slots make a curl, and opposite ones a closed curve that the
+    other strand of the crossing crosses just once.  So every dart the
+    switch turns keeps a partner on another crossing.
     """
     opp = list(d.opp())
     lab = list(chain.from_iterable(d.crossings))
@@ -938,8 +963,6 @@ def _reduced_child(d, ci, pairs=None):
         partners, labels = opp[base:base + 4], lab[base:base + 4]
         for s in range(4):
             t, u = base + (s + turn) % 4, partners[s]
-            if u >> 2 == ci:
-                u = base + (u + turn) % 4
             opp[t], opp[u] = u, t
             lab[t] = labels[s]
             seeds += (t, u)
@@ -1139,19 +1162,7 @@ def _part_code(d: LinkDiagram):
     key exactly when they share the minimum over all starts.
     """
     opp = d.opp()
-    # the face size of every dart, one walk per face
-    succ = _face_successor(opp)
-    size = [0] * len(opp)
-    for t0 in range(len(opp)):
-        if not size[t0]:
-            face = [t0]
-            t = succ[t0]
-            while t != t0:
-                face.append(t)
-                t = succ[t]
-            n = len(face)
-            for t in face:
-                size[t] = n
+    size, _ = _face_sizes(opp)
     signs = d.signs or [0] * len(d.crossings)
     a, b, c, e = size[0::4], size[1::4], size[2::4], size[3::4]
     sigs = {0: list(zip(signs, a, b, c, e)), 2: list(zip(signs, c, e, a, b))}

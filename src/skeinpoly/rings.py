@@ -882,7 +882,7 @@ class RatFunc:
 def ratfunc_from_json(obj) -> RatFunc:
     try:
         return RatFunc(poly_from_json(obj["num"]), poly_from_json(obj["den"]))
-    except KeyError as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad rational-function JSON: {exc}") from exc
 
 
@@ -1200,7 +1200,7 @@ def series_from_json(obj):
         return DeltaSeries(_json_int(obj["order"], "series order"),
                            {_json_decimal(k, "series exponent"): poly_from_json(c)
                             for k, c in obj["coeffs"].items()})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad series JSON: {exc}") from exc
 
 

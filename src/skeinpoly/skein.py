@@ -67,6 +67,8 @@ class SkeinEngine:
     ``rng`` (a random.Random) randomizes the walk order at every node,
     which must not change any value.  ``nodes`` counts the nodes of the
     last public call, ``lifetime_nodes`` those of every call so far.
+    Concurrent calls on one engine return exact values, but these counts
+    and the budget are not exact under them.
     """
 
     def __init__(self, memo=True, budget=DEFAULT_BUDGET, rng=None):
@@ -78,7 +80,13 @@ class SkeinEngine:
         self.lifetime_nodes = 0
 
     def _run(self, d: dg.LinkDiagram):
-        """Evaluate d as one public call: each yielded child is pushed, each value sent back."""
+        """Evaluate d as one public call: each yielded child is pushed, each value sent back.
+
+        d must be planar (``diagrams._planar``): a PD code built through
+        the Python API has not met the parsers' check, and the skein
+        surgeries assume a planar part.
+        """
+        dg._planar(d)
         self.nodes = 0
         stack, value = [self._eval(*dg._reduced(d))], None
         while True:

@@ -98,6 +98,37 @@ def test_non_planar_pd_rejected():
     assert diagram_from_json(diagram_to_json(planar)) == planar
 
 
+_DIAGRAM_JSON = "skeinpoly-diagram/1"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: LinkDiagram([(1, 2, 2, 1)], (1, 1), 0), ValidationError,
+                 "sign list length", id="sign-list-length"),
+    pytest.param(lambda: LinkDiagram([(1, 2, 1)], None, 0), ValidationError,
+                 "does not have 4 edge ends", id="three-slot-crossing"),
+    pytest.param(lambda: LinkDiagram((), None, -1), ValidationError,
+                 "negative free loop count", id="negative-free-loops"),
+    pytest.param(lambda: BraidWord(0, ()), ValidationError, "at least one strand",
+                 id="braid-without-strands"),
+    pytest.param(lambda: parse_diagram("braid:2:[1,,1]"), ParseError, "bad braid word",
+                 id="braid-empty-letter"),
+    pytest.param(lambda: diagram_from_json({"format": "skeinpoly-diagram/0"}), ParseError,
+                 "unknown diagram format", id="json-unknown-format"),
+    pytest.param(lambda: diagram_from_json({"format": _DIAGRAM_JSON, "crossings": [
+        {"edges": [0, 0, 1, 1], "sign": 1}, {"edges": [2, 2, 3, 3], "sign": None}]}),
+        ParseError, "mixed oriented and unoriented", id="json-mixed-signs"),
+    pytest.param(lambda: diagram_from_json({"format": _DIAGRAM_JSON}), ParseError,
+                 "bad diagram JSON", id="json-without-crossings"),
+    pytest.param(lambda: cable2(LinkDiagram((), (), 1), {0: CablePattern.parallel2()}, "x"),
+                 ValidationError, "unknown cable mode", id="cable-unknown-mode"),
+    pytest.param(lambda: CablePattern("x"), ValidationError, "unknown pattern",
+                 id="unknown-cable-pattern"),
+])
+def test_documented_rejections(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_text_round_trip():
     d = closure([1, 1, 1])
     assert parse_diagram(diagram_to_text(d)) == d

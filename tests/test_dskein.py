@@ -96,6 +96,15 @@ def test_integrality():
     assert ok and witness == ()
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("frame(,1)", "expected a family expression", id="frame-without-child"),
+    pytest.param("torus2(3))", "trailing input", id="trailing-input"),
+])
+def test_documented_rejections(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_family(text)
+
+
 def test_family_parser():
     text = "connsum(frame(torus2(3),-3),torus2(-2))"
     tree = parse_family(text)

@@ -25,10 +25,13 @@ from skeinpoly.rings import (
     poly_to_json,
     poly_to_text,
     psi_series,
+    ratfunc_from_json,
     series_exp_v,
     series_from_json,
     sigma_swap,
     specialize,
+    substitute_equal,
+    validate_sigma_poly,
     _sorted_exps,
     _term_sort_key,
 )
@@ -414,6 +417,46 @@ def test_text_is_stable_across_runs():
     rendering = poly_to_text(p)
     again = poly_to_text(LaurentPoly(("sp", "sm"), dict(reversed(list(p.terms.items())))))
     assert rendering == again
+
+
+_S, _A, _V, _Z = (LaurentPoly.var(name) for name in "savz")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: RatFunc(_S, 0), DivisionByZero, "zero denominator",
+                 id="ratfunc-zero-denominator"),
+    pytest.param(lambda: exact_divide(_S, LaurentPoly.const(0)), DivisionByZero,
+                 "zero polynomial", id="exact-divide-by-zero"),
+    pytest.param(lambda: (_S ** -1).subs_int("s", 0), DivisionByZero, "substituting 0",
+                 id="subs-zero-into-negative-power"),
+    pytest.param(lambda: validate_sigma_poly(sp_sm({(-1, 0): 1})), ValidationError,
+                 "negative exponent", id="sigma-negative-exponent"),
+    pytest.param(lambda: validate_sigma_poly(sp_sm({(1, 0): Fraction(1, 3)})), ValidationError,
+                 "not dyadic", id="sigma-third"),
+    pytest.param(lambda: substitute_equal(RatFunc(_S, _A - _S), "a", "s"), DivisionByZero,
+                 "vanishes identically", id="substitute-equal-zero-denominator"),
+    pytest.param(lambda: limit_order2_at_v1(RatFunc(_V, _V - 1)), OrderTooLow,
+                 "vanishes at v=1", id="limit-pole-at-v1"),
+    pytest.param(lambda: series_exp_v(RatFunc(_V), 0), ValidationError, "order must be",
+                 id="exp-series-order-zero"),
+    pytest.param(lambda: series_exp_v(RatFunc(_V, _Z + 1)), ValidationError, "not a unit",
+                 id="exp-series-non-unit-denominator"),
+    pytest.param(lambda: DeltaSeries(0), ValidationError, "order must be",
+                 id="series-order-zero"),
+    pytest.param(lambda: DeltaSeries(2, {-1: 1}), ValidationError, "negative series exponent",
+                 id="series-negative-exponent"),
+    pytest.param(lambda: specialize(RatFunc(_S, _A), {"s": 1, "a": 0}), DivisionByZero,
+                 "specializes to zero", id="specialize-zero-denominator"),
+    pytest.param(lambda: ratfunc_from_json([]), ParseError, "rational-function JSON",
+                 id="ratfunc-json-list"),
+    pytest.param(lambda: ratfunc_from_json(None), ParseError, "rational-function JSON",
+                 id="ratfunc-json-null"),
+    pytest.param(lambda: series_from_json({"order": 2, "coeffs": []}), ParseError,
+                 "series JSON", id="series-json-coeffs-list"),
+])
+def test_documented_rejections(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_specialize_missing_assignment():

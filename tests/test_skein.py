@@ -15,14 +15,15 @@ import pytest
 
 from skeinpoly.diagrams import (
     BraidWord,
+    LinkDiagram,
     add_kinks,
     braid_closure,
     homfly_adjoint_expansion,
     kauffman_adjoint_expansion,
 )
-from skeinpoly.errors import ResourceLimit
-from skeinpoly.homfly import DELTA, HomflyEngine, framed_h
-from skeinpoly.kauffman import KauffmanEngine, k_adjoint
+from skeinpoly.errors import ResourceLimit, ValidationError
+from skeinpoly.homfly import DELTA, HomflyEngine, framed_h, h_adjoint, homfly_p
+from skeinpoly.kauffman import KauffmanEngine, k_adjoint, kauffman_lambda
 from skeinpoly.rings import LaurentPoly, poly_to_text
 
 
@@ -66,6 +67,18 @@ def test_budget_bounds_the_engine_lifetime():
     with pytest.raises(ResourceLimit) as exc:
         k_adjoint(closure([1, 1, 1]), engine)
     assert exc.value.nodes == 495
+
+
+def test_engines_refuse_a_non_planar_pd_code():
+    # well-formed and consistently oriented, but 2 faces where Euler's
+    # formula needs 4: the parsers refuse it, and so does every engine root
+    # built through the Python API, the cables of the adjoint sums included
+    g = LinkDiagram([(1, 2, 3, 4), (3, 4, 1, 2)], (1, 1), 0)
+    unoriented = LinkDiagram(g.crossings, None, 0)
+    for invariant, d in ((homfly_p, g), (h_adjoint, g),
+                         (kauffman_lambda, unoriented), (k_adjoint, unoriented)):
+        with pytest.raises(ValidationError, match="not planar"):
+            invariant(d)
 
 
 def test_large_diagrams_key_canonically():
