@@ -27,12 +27,12 @@ edge consistently, and an int free-loop count >= 0; else it raises
 ``ValidationError``.  PD text and JSON input (``parse_diagram``,
 ``diagram_from_json``) raise ``ParseError`` on a non-integer field and
 are also checked for planarity by Euler's formula: a connected part with
-n crossings must have n + 2 faces; the skein engines check the diagram
-of every public call the same way (``_planar``).  The surgeries of this module build
-their results with ``LinkDiagram._trusted``, which checks nothing: it
-trusts its caller to pass a tuple of int 4-tuples, a tuple of signs or
-None, and an int loop count that already form a well-formed diagram, as
-every surgery of a well-formed diagram does.
+n crossings must have n + 2 faces.  The skein engines check the diagram
+of every public call the same way (``_planar``).  The surgeries of this
+module build their results with ``LinkDiagram._trusted``, which checks
+nothing: it trusts its caller to pass a tuple of int 4-tuples, a tuple
+of signs or None, and an int loop count that already form a well-formed
+diagram, as every surgery of a well-formed diagram does.
 
 Canonical keys are minimal breadth-first codes over the starts of each
 connected part.  The code from a start (crossing, under-slot rotation)

@@ -82,9 +82,9 @@ class SkeinEngine:
     def _run(self, d: dg.LinkDiagram):
         """Evaluate d as one public call: each yielded child is pushed, each value sent back.
 
-        d must be planar (``diagrams._planar``): a PD code built through
-        the Python API has not met the parsers' check, and the skein
-        surgeries assume a planar part.
+        A non-planar d raises ValidationError first (``diagrams._planar``):
+        a PD code built through the Python API has not met the parsers'
+        check, and the skein surgeries assume planar parts.
         """
         dg._planar(d)
         self.nodes = 0
