@@ -35,7 +35,7 @@ print(f"  value: {poly_to_text(qtilde(tree))}")
 print(f"  equals (torus_value(3) - 3) + torus_value(5): "
       f"{qtilde(tree) == torus_value(3) - 3 + torus_value(5)}")
 
-print("\nEmpirical mirror rule (swap sp/sm and negate):")
+print("\nMirror rule, a consequence of the recursion (swap sp/sm and negate):")
 print(f"  -swap(value(7)) == value(-7): "
       f"{-sigma_swap(torus_value(7)) == torus_value(-7)}")
 

@@ -11,7 +11,7 @@ Three subcommands:
   check; exit status is nonzero iff any check fails.  ``checks`` is the
   one definition of these checks; the acceptance tests run them too.
 * ``table KIND RANGE``: print one row per index (kinds: i-values,
-  qtilde-torus; RANGE looks like -3..3).
+  qtilde-torus; RANGE looks like -3..3), each as soon as it is computed.
 
 Flags: --json (every subcommand) for machine-readable output;
 --budget N for the skein node budget (``invariant`` and ``verify``, the
@@ -21,17 +21,17 @@ counts polynomial terms, see ``dskein.bounded_qtilde``); --truncate K
 expansion (substituting v = exp(-d/2)) of the value instead of the value
 itself; a bad K or kind exits 2 before anything is evaluated.  A
 subcommand rejects a flag it would ignore (exit 2), so no accepted flag
-is silently without effect.  The engines always memoize: there is no
-``--memo`` flag any more, because turning the memo off changes no value,
-only the time and the node count, and no caller turned it off; tests keep
-``SkeinEngine(memo=False)`` as their reference evaluation.  The budget
+is silently without effect.  The engines always memoize (turning the
+memo off changes only time and node count; tests keep
+``SkeinEngine(memo=False)`` as their reference evaluation).  The budget
 counts nodes over an engine's lifetime: one engine per ``invariant``
 invocation, one per ``verify`` suite.  No environment variables or
 config files are consulted, so identical ``invariant`` and ``table``
 invocations print identical bytes; ``verify`` does not, since every line
 it prints carries its wall time.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 budget exceeded.
+Exit codes: 0 success, 2 parse/validation failure, 3 budget exceeded,
+141 stdout closed early (a reader such as ``head`` quit; stderr stays empty).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -70,6 +71,7 @@ REPORT_JSON_FORMAT = "skeinpoly-report/1"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141                 # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _value_to_text(value):
@@ -137,17 +139,14 @@ def _cmd_table(args):
     if len(ends) != 2 or not all(_ASCII_INT.fullmatch(end) for end in ends):
         raise ParseError(f"bad range {args.range!r}; expected like -3..3")
     lo, hi = (_text_int(end, "range end") for end in ends)
-    if args.kind == "i-values":
-        rows = [(n, dskein.i_value(n)) for n in range(lo, hi + 1)]
-    else:
-        rows = [(n, dskein.torus_value(n)) for n in range(lo, hi + 1)]
+    value = dskein.i_value if args.kind == "i-values" else dskein.torus_value
     if args.json:
         blob = {"format": TABLE_JSON_FORMAT, "kind": args.kind,
-                "rows": [{"index": n, "value": poly_to_json(v)} for n, v in rows]}
+                "rows": [{"index": n, "value": poly_to_json(value(n))} for n in range(lo, hi + 1)]}
         print(json.dumps(blob, sort_keys=True))
     else:
-        for n, v in rows:
-            print(f"{n}\t{poly_to_text(v)}")
+        for n in range(lo, hi + 1):             # each row printed as soon as it is computed
+            print(f"{n}\t{poly_to_text(value(n))}")
     return EXIT_OK
 
 
@@ -477,9 +476,7 @@ _RANGE_TOKEN = re.compile(r"^-[0-9]+\.\.-?[0-9]+$")
 
 def main(argv=None):
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     # negative table ranges like -3..3 would otherwise parse as flags; the
     # range moves last, behind "--", so that flags after it still parse
     for i, token in enumerate(argv):
@@ -489,12 +486,16 @@ def main(argv=None):
             argv += ["--", token]
             break
     args = parser.parse_args(argv)
+    command = {"invariant": _cmd_invariant, "table": _cmd_table, "verify": _cmd_verify}
     try:
-        if args.command == "invariant":
-            return _cmd_invariant(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_verify(args)
+        status = command[args.command](args)
+        sys.stdout.flush()              # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:         # the rest goes to the null device, so exit flushes quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -21,18 +21,19 @@ dart ``t ^ 2`` (the opposite slot); the face after dart t starts at
 Crossingless circles ("free loops") are stored as a bare count.
 
 Outside input is checked where it enters.  The public ``LinkDiagram``
-constructor checks combinatorial well-formedness: int edge ids (not
-bools, floats or strings), each used twice, signs +-1 that orient every
-edge consistently, and an int free-loop count >= 0; else it raises
-``ValidationError``.  PD text and JSON input (``parse_diagram``,
-``diagram_from_json``) raise ``ParseError`` on a non-integer field and
-are also checked for planarity by Euler's formula: a connected part with
-n crossings must have n + 2 faces.  The skein engines check the diagram
-of every public call the same way (``_planar``).  The surgeries of this
-module build their results with ``LinkDiagram._trusted``, which checks
-nothing: it trusts its caller to pass a tuple of int 4-tuples, a tuple
-of signs or None, and an int loop count that already form a well-formed
-diagram, as every surgery of a well-formed diagram does.
+constructor checks combinatorial well-formedness: sequences of crossings
+and signs, int edge ids (not bools, floats or strings), each used twice,
+signs +-1 that orient every edge consistently, and an int free-loop
+count >= 0; else it raises ``ValidationError``.  PD text and JSON input
+(``parse_diagram``, ``diagram_from_json``) raise ``ParseError`` on a
+non-integer field and are also checked for planarity by Euler's formula:
+a connected part with n crossings must have n + 2 faces.  The skein
+engines check the diagram of every public call the same way
+(``_planar``).  The surgeries of this module build their results with
+``LinkDiagram._trusted``, which checks nothing: it trusts its caller to
+pass a tuple of int 4-tuples, a tuple of signs or None, and an int loop
+count that already form a well-formed diagram, as every surgery of a
+well-formed diagram does.
 
 Canonical keys are minimal breadth-first codes over the starts of each
 connected part.  The code from a start (crossing, under-slot rotation)
@@ -99,8 +100,11 @@ class LinkDiagram:
     __slots__ = ("crossings", "signs", "free_loops", "_opp", "_strands", "_parts")
 
     def __init__(self, crossings, signs=None, free_loops=0):
-        self.crossings = tuple(tuple(x) for x in crossings)
-        self.signs = None if signs is None else tuple(signs)
+        try:
+            self.crossings = tuple(tuple(x) for x in crossings)
+            self.signs = None if signs is None else tuple(signs)
+        except TypeError:
+            raise ValidationError("crossings, each crossing and signs must be sequences") from None
         self.free_loops = free_loops
         self._opp = self._strands = self._parts = None
         self._validate()
@@ -257,7 +261,10 @@ class BraidWord:
     word: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
+        try:
+            object.__setattr__(self, "word", tuple(self.word))
+        except TypeError:
+            raise ValidationError(f"braid word {self.word!r} is not a sequence") from None
         if type(self.strands) is not int or any(type(i) is not int for i in self.word):
             raise ValidationError("braid strand count and generators must be integers")
         if self.strands < 1:
@@ -1305,6 +1312,8 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
     for idx in range(total):
         if idx not in patterns:
             raise PatternMissing(f"component {idx} has no cable pattern")
+        if not isinstance(patterns[idx], CablePattern):
+            raise ValidationError(f"pattern {patterns[idx]!r} of component {idx} is not a CablePattern")
     deleted = [i for i in range(total) if patterns[i].kind == CablePattern.DELETE]
     if deleted:
         kept = [patterns[i] for i in range(total) if i not in deleted]

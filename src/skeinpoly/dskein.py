@@ -27,10 +27,20 @@ with base values I(0)=0, I(+-1)=-1, I(+-2)=+-2(sp-sm), and
 with T(0)=0 and T(1)=1.  The odd-m instance of the T recursion is the
 printed two-strand computation; its even-m extension (with the same
 alternating unit term) is adopted as the definition for torus links and
-is validated by T(2) reproducing the Hopf-link value sm - sp.  General
-planar diagrams are deliberately NOT evaluated: outside this family the
-skein substitution produces trivalent-graph closures whose values are
-not determined by the published data, and the engine refuses to guess.
+is validated by T(2) reproducing the Hopf-link value sm - sp.
+
+Both run forward only; negative indices are mirror images, I(-n) =
+sigma I(n) and T(-m) = -sigma T(m), sigma exchanging sp and sm.  Proof:
+write the I step as I(n+3) = 4(sp-sm) + sum_{k=-2..2} c_k I(n+k), solve
+it for I(n-2), put -n for n and apply sigma.  J(n) = sigma I(-n) then
+meets the same step, as -sigma(sp-sm) = sp-sm and -sigma c_{2-i} =
+c_{i-1} for i = 0..3, and J = I on the base values, so J = I.  S(m) =
+-sigma T(-m) meets the T step, whose unit term depends only on the parity
+of m, and S(0) = 0, S(1) = 1 (the step at m = 1 gives T(-1) = -1), so
+S = T.  General planar diagrams are deliberately NOT evaluated: outside
+this family the skein substitution produces trivalent-graph closures
+whose values are not determined by the published data, and the engine
+refuses to guess.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimit, ValidationError
-from .rings import LaurentPoly, _BLANKS, _text_int
+from .rings import LaurentPoly, sigma_swap, _BLANKS, _text_int
 
 SP_MINUS_SM = LaurentPoly(("sp", "sm"), {(1, 0): 1, (0, 1): -1})
 
@@ -80,38 +90,28 @@ _ONE = _sigma({(0, 0): 1})
 def i_value(n: int) -> LaurentPoly:
     """Value of the trivalent closure I(n), by the printed recursion.
 
-    Runs forward for n > 2 and backward for n < -2 (the backward step
-    solves for I(n-2), whose coefficient is 1, so no division occurs).
-    The memo is filled one index at a time from its edge towards n, so
-    the call depth does not grow with n; the cost grows roughly as the
-    cube of |n|, because I(n) has about n^2/4 terms with growing
-    coefficients.
-
-    Each step builds I(j) in one term dict: a copy of the value whose
-    coefficient is 1 (I(j-5) forward, I(j+5) backward), which also shares
-    that value's key tuples, plus or minus each other T3_VECTOR entry times
-    its value.  Every coefficient on this path is an int.
+    Fills the memo forward only, one index at a time from its edge up to
+    n, so the call depth does not grow with n; the cost grows roughly as
+    the cube of n, as I(n) has about n^2/4 terms with growing
+    coefficients.  Each step builds I(j) in one term dict: a copy of
+    I(j-5), whose coefficient is 1 and whose key tuples it shares, plus
+    each other T3_VECTOR entry times its value; every coefficient is an
+    int.  A negative index is the mirror image sigma I(-n) (module
+    docstring), computed on each call and not memoized.
     """
     memo = _i_memo
     if n in memo:
         return memo[n]
-    step = 1 if n > 2 else -1
-    start = n
-    while start - step not in memo:
-        start -= step
-    for j in range(start, n + step, step):
-        if j > 2:
-            m = j - 3               # I(j) = I(m+3) = T3[0] + I(m-2) + sum_k T3[k+3] I(m+k)
-            acc, sign = dict(memo[m - 2].terms), 1
-        else:
-            m = j + 2               # I(j) = I(m-2) = I(m+3) - T3[0] - sum_k T3[k+3] I(m+k)
-            acc, sign = dict(memo[m + 3].terms), -1
+    if n < 0:
+        return sigma_swap(i_value(-n))
+    for j in range(max(memo) + 1, n + 1):       # the memo holds I(-2..max) and no gap
+        m = j - 3                   # I(j) = I(m+3) = T3[0] + I(m-2) + sum_k T3[k+3] I(m+k)
+        acc = dict(memo[m - 2].terms)
         get = acc.get
         products = [(T3_VECTOR[0], _ONE)] + [(T3_VECTOR[k + 3], memo[m + k]) for k in range(-1, 3)]
         for coeff, value in products:
             items = value.terms.items()
             for (a0, a1), ca in coeff.terms.items():
-                ca *= sign
                 for (b0, b1), cb in items:
                     key = (a0 + b0, a1 + b1)
                     c = get(key, 0) + ca * cb
@@ -136,31 +136,28 @@ _torus_memo = {
 def torus_value(m: int) -> LaurentPoly:
     """Invariant of the blackboard-framed two-strand torus closure T(2, m).
 
-    Like ``i_value``, fills the memo step by step (in steps of 2, forward
-    for m > 1 and backward for m < 0) from its edge towards m.  The step
-    at j is
+    Like ``i_value``, fills the memo forward only, in steps of 2 up to m,
+    and a negative index is the mirror image -sigma T(2, -m), computed on
+    each call and not memoized.  The step at j is
 
         T(j) - T(j - 2) = u(j) - I(j - 1) - (I(j - 2) + I(j)) / 2,
 
-    u(j) being 1 for odd j and -1 for even j; the backward step solves it
-    for T(j - 2).  Each step builds twice the new value in one term dict
-    and then halves it in place.  The halving stays exact: ``_half``
-    shifts an even int and turns an odd one into a Fraction, so an odd sum
-    would show up as a non-integral value, never be rounded.
+    u(j) being 1 for odd j and -1 for even j.  Each step builds twice the
+    new value in one term dict and then halves it in place.  The halving
+    stays exact: ``_half`` shifts an even int and turns an odd one into a
+    Fraction, so an odd sum would show up as a non-integral value, never
+    be rounded.
     """
     memo = _torus_memo
     if m in memo:
         return memo[m]
-    d = 2 if m > 1 else -2
-    start = m
-    while start - d not in memo:
-        start -= d
-    for j in range(start, m + d, d):
-        sign, i = (1, j) if d > 0 else (-1, j + 2)      # T(j) = T(j - d) + sign * step(i)
-        acc = {e: 2 * c for e, c in memo[j - d].terms.items()}
+    if m < 0:
+        return -sigma_swap(torus_value(-m))
+    for j in range(max(k for k in memo if (k - m) % 2 == 0) + 2, m + 2, 2):
+        acc = {e: 2 * c for e, c in memo[j - 2].terms.items()}
         get = acc.get
-        for value, f in ((_ONE, 2 * sign if i % 2 else -2 * sign), (i_value(i - 1), -2 * sign),
-                         (i_value(i - 2), -sign), (i_value(i), -sign)):
+        for value, f in ((_ONE, 2 if j % 2 else -2), (i_value(j - 1), -2),
+                         (i_value(j - 2), -1), (i_value(j), -1)):
             for e, c in value.terms.items():
                 c = get(e, 0) + f * c
                 if c:
@@ -230,11 +227,11 @@ def _torus_indices(link):
 def bounded_qtilde(link, budget: int) -> LaurentPoly:
     """``qtilde(link)``, raising ResourceLimit once its charge passes budget.
 
-    For each torus closure T(m) in link, every I(j) and T(k) on the fill
-    path from the base values towards m is charged its number of terms,
-    one index at a time, whether it is computed here or already in the
-    module memo; so the charge, and whether the budget is exceeded, does
-    not depend on earlier calls in the process.
+    For each torus closure T(m) in link, the charge walks from the base
+    values away from 0 to m: each T(k), k of m's parity and not a base
+    value, costs its number of terms, after every I(j) with 2 < |j| <= |k|
+    on its side of 0.  It is defined by this path, not by what the fill
+    computes or finds memoized, so it does not depend on earlier calls.
     """
     spent = 0
 
@@ -282,9 +279,6 @@ def parse_family(text: str):
     tokens.append((None, len(text)))
     idx = 0
 
-    def peek():
-        return tokens[idx][0]
-
     def take(expected=None):
         nonlocal idx
         tok, at = tokens[idx]
@@ -305,33 +299,27 @@ def parse_family(text: str):
         if depth > MAX_FAMILY_DEPTH:
             raise ParseError(f"family expression nested deeper than {MAX_FAMILY_DEPTH}",
                              position=at)
+        if tok not in ("torus2", "frame", "connsum"):
+            raise ParseError(f"expected a family expression, found {tok!r}", position=at)
+        take()
+        take("(")
         if tok == "torus2":
-            take()
-            take("(")
-            m_ = parse_int()
-            take(")")
-            return Torus2(m_)
-        if tok == "frame":
-            take()
-            take("(")
+            expr = Torus2(parse_int())
+        elif tok == "frame":
             child = parse_expr(depth + 1)
             take(",")
-            k = parse_int()
-            take(")")
-            return FramingShift(child, k)
-        if tok == "connsum":
-            take()
-            take("(")
+            expr = FramingShift(child, parse_int())
+        else:
             left = parse_expr(depth + 1)
             take(",")
-            right = parse_expr(depth + 1)
-            take(")")
-            return ConnSum(left, right)
-        raise ParseError(f"expected a family expression, found {tok!r}", position=at)
+            expr = ConnSum(left, parse_expr(depth + 1))
+        take(")")
+        return expr
 
     expr = parse_expr(0)
-    if peek() is not None:
-        raise ParseError(f"trailing input {peek()!r}", position=tokens[idx][1])
+    tok, at = tokens[idx]
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", position=at)
     return expr
 
 

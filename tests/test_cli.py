@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -27,13 +29,36 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _fresh_env():
+    """The environment of a new interpreter that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def run_fresh(*argv, timeout):
     """The CLI in a new interpreter: (exit code, stdout, stderr)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-m", "skeinpoly.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "skeinpoly.cli", *argv], env=_fresh_env(),
                           capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that quits early (head) ends the command with status 141 =
+    # 128 + SIGPIPE and nothing on stderr, not even at interpreter exit
+    for argv, lines in ((["table", "i-values", "--", "-70..70"], 1),
+                        (["invariant", "kauffman", "O:150"], 0)):
+        with subprocess.Popen([sys.executable, "-m", "skeinpoly.cli", *argv], env=_fresh_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (141, b""), argv
+        assert all(line.startswith(b"-70\t-70*sp + 70*sm") for line in first)
+    # an in-memory stdout, as perfbench/worker.py passes, is unaffected
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["table", "i-values", "0..1"]) == 0
+    assert buf.getvalue() == "0\t0\n1\t-1\n"
 
 
 def test_invariant_qtilde(capsys):

@@ -123,6 +123,14 @@ _DIAGRAM_JSON = "skeinpoly-diagram/1"
                  ValidationError, "unknown cable mode", id="cable-unknown-mode"),
     pytest.param(lambda: CablePattern("x"), ValidationError, "unknown pattern",
                  id="unknown-cable-pattern"),
+    pytest.param(lambda: LinkDiagram([5]), ValidationError, "must be sequences",
+                 id="crossing-not-a-sequence"),
+    pytest.param(lambda: LinkDiagram([(0, 0, 1, 1)], 1, 0), ValidationError,
+                 "must be sequences", id="signs-not-a-sequence"),
+    pytest.param(lambda: BraidWord(2, 5), ValidationError, "is not a sequence",
+                 id="braid-word-not-a-sequence"),
+    pytest.param(lambda: cable2(LinkDiagram((), (), 1), {0: "x"}), ValidationError,
+                 "is not a CablePattern", id="cable-pattern-not-a-pattern"),
 ])
 def test_documented_rejections(build, error, message):
     with pytest.raises(error, match=message):

@@ -9,6 +9,7 @@ import pytest
 
 from skeinpoly.dskein import (
     MAX_FAMILY_DEPTH,
+    T3_VECTOR,
     ConnSum,
     FramingShift,
     Torus2,
@@ -30,8 +31,8 @@ def sigma(terms):
 
 def test_torus_step_matches_printed_recursion():
     # T(m) = T(m-2) + (-1)^(m-1) - I(m-1) - (I(m-2) + I(m))/2, forward for
-    # m > 1 and solved for T(m) when the fill runs backward (m < 0); LaurentPoly
-    # operators only
+    # m > 1 and solved for T(m) for m < 0, where the values are mirror
+    # images; LaurentPoly operators only
     half = Fraction(1, 2)
     for m in range(-30, 31):
         unit = 1 if m % 2 else -1               # (-1)^(m-1) = (-1)^(m+1)
@@ -55,6 +56,17 @@ def test_torus_step_matches_printed_recursion():
     assert odd == {(0, 0): Fraction(3, 2), (1, 0): -2, (0, 1): Fraction(5, 6)}
     assert type(odd[(1, 0)]) is int
     assert type(_half(Fraction(4, 1))) is int           # twice a half-integer, halved
+
+
+def test_negative_i_values_meet_the_printed_backward_step():
+    # I(n-2) = I(n+3) - T3[0] - sum_k T3[k+3] I(n+k), k = -1..2: the printed
+    # step solved for I(n-2), for I(-70..2); negative indices are computed as
+    # mirror images, never by this step; LaurentPoly operators only
+    t3 = T3_VECTOR
+    for n in range(-68, 5):
+        expected = i_value(n + 3) - t3[0] - t3[2] * i_value(n - 1) - t3[3] * i_value(n) \
+            - t3[4] * i_value(n + 1) - t3[5] * i_value(n + 2)
+        assert i_value(n - 2) == expected, n - 2
 
 
 def test_mirror_pattern():
