@@ -453,10 +453,38 @@ _S, _A, _V, _Z = (LaurentPoly.var(name) for name in "savz")
                  id="ratfunc-json-null"),
     pytest.param(lambda: series_from_json({"order": 2, "coeffs": []}), ParseError,
                  "series JSON", id="series-json-coeffs-list"),
+    pytest.param(lambda: _V.with_vars(("s",)), ValidationError, "do not contain v",
+                 id="with-vars-missing"),
+    pytest.param(lambda: _V.with_vars(("v", "q")), ValidationError, "unknown variable",
+                 id="with-vars-unknown"),
+    pytest.param(lambda: _V.with_vars(("v", "v")), ValidationError, "repeated variable",
+                 id="with-vars-repeated"),
 ])
 def test_documented_rejections(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_substitution_edge_cases():
+    # a variable absent from p: nothing changes
+    assert (_S + 1).subs_int("v", 2) == _S + 1
+    assert substitute_equal(RatFunc(_S + 1), "a", "s") == RatFunc(_S + 1)
+    # the target variable absent from p: a's exponents move onto s
+    collapsed = substitute_equal(RatFunc(_A ** 2 * _V - _V), "a", "s")
+    assert collapsed.num.vars == ("s", "v") and collapsed == RatFunc(_S ** 2 * _V - _V)
+    assert substitute_equal(RatFunc(_V, _A), "a", "s").to_text() == "(v) / (s)"
+    # a - s collapses to 0 on the locus, and its quotient is 1
+    assert substitute_equal(RatFunc(_A - _S), "a", "s").is_zero()
+    assert exact_div_linear(RatFunc(_A - _S)) == (RatFunc(1), True)
+    witness, ok = exact_div_linear(RatFunc(_A, _A - _S))
+    assert not ok and witness == RatFunc(_S)
+    # negative exponents: a non-integral number image, and a variable image,
+    # whose coefficients stay exact ints
+    assert (_S ** -3 + _S).subs_int("s", Fraction(2, 3)) == Fraction(27, 8) + Fraction(2, 3)
+    assert (_S ** -2 * _V).subs_int("s", Fraction(1, 2)).terms == {(1,): 4}
+    moved = substitute_equal(RatFunc(3 * _A ** -2 * _S), "a", "s")
+    assert moved == RatFunc(3 * _S ** -1)
+    assert all(type(c) is int for c in [*moved.num.terms.values(), *moved.den.terms.values()])
 
 
 def test_specialize_missing_assignment():
