@@ -32,6 +32,11 @@ no coefficient is zero, and each coefficient is an ``int`` or a
 ``**`` and ``shifted``) build their results with the unchecked
 ``LaurentPoly._trusted``: their operands already meet the invariant, so
 only a coefficient that is not an ``int`` is normalised.
+
+Every substitution for one variable, a number (``subs_int``, and so the
+limit at v = 1) or another variable (``substitute_equal`` and
+``exact_div_linear`` on the locus a = s), goes through one routine,
+``_substituted``, whose result passes the checked constructor.
 """
 
 from __future__ import annotations
@@ -197,19 +202,14 @@ class LaurentPoly:
         variables = tuple(variables)
         if variables == self.vars:
             return self
-        pos = {name: i for i, name in enumerate(variables)}
+        extra = list(variables)
         for name in self.vars:
-            if name not in pos:
+            if name not in extra:
                 raise ValidationError(f"target variables {variables} do not contain {name}")
-        n = len(variables)
-        mapping = [pos[name] for name in self.vars]
-        out = {}
-        for exps, c in self.terms.items():
-            vec = [0] * n
-            for src, dst in enumerate(mapping):
-                vec[dst] = exps[src]
-            out[tuple(vec)] = c
-        return LaurentPoly(variables, out)
+            extra.remove(name)
+        # the constructor rejects a repeated or unknown name and sorts into ALPHABET order
+        pad = (0,) * len(extra)
+        return LaurentPoly(self.vars + tuple(extra), {exps + pad: c for exps, c in self.terms.items()})
 
     # ---- ring operations -----------------------------------------------
 
@@ -313,24 +313,7 @@ class LaurentPoly:
 
     def subs_int(self, name, value):
         """Substitute an exact rational value for one variable."""
-        if name not in self.vars:
-            return self
-        i = self.vars.index(name)
-        value = Fraction(value)
-        out = {}
-        keep = tuple(j for j in range(len(self.vars)) if j != i)
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e < 0 and value == 0:
-                raise DivisionByZero(f"substituting 0 for {name} with exponent {e}")
-            factor = value ** e
-            key = tuple(exps[j] for j in keep)
-            s = out.get(key, 0) + c * factor
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(tuple(self.vars[j] for j in keep), out)
+        return _substituted(self, name, Fraction(value))
 
     # ---- canonical text / JSON -----------------------------------------
 
@@ -365,6 +348,32 @@ def _monomial_product(a: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     if cm != 1 and cm != -1:
         _norm_values(out)
     return LaurentPoly._trusted(a.vars, out)
+
+
+def _substituted(p: LaurentPoly, name, image) -> LaurentPoly:
+    """p with image in place of the variable name.
+
+    image is an exact rational (a Fraction) or another variable's name,
+    whose exponent in each term then grows by name's.
+    """
+    if name not in p.vars or name == image:
+        return p
+    if isinstance(image, str) and image not in p.vars:
+        p = p.with_vars(p.vars + (image,))
+    i = p.vars.index(name)
+    j = p.vars.index(image) if isinstance(image, str) else None
+    out = {}
+    for exps, c in p.terms.items():
+        e = exps[i]
+        if j is not None:
+            exps = exps[:j] + (exps[j] + e,) + exps[j + 1:]
+        elif e < 0 and image == 0:
+            raise DivisionByZero(f"substituting 0 for {name} with exponent {e}")
+        else:
+            c = c * image ** e
+        key = exps[:i] + exps[i + 1:]
+        out[key] = out.get(key, 0) + c          # the constructor drops what cancels
+    return LaurentPoly(p.vars[:i] + p.vars[i + 1:], out)
 
 
 def align(a: LaurentPoly, b: LaurentPoly):
@@ -678,16 +687,12 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     monomial content, integer coprime coefficients, and positive leading
     coefficient under the canonical term order.
     """
-    p = p.drop_trivial_vars()
-    q = q.drop_trivial_vars()
-    merged = tuple(sorted(set(p.vars) | set(q.vars), key=_ALPHABET_INDEX.get))
-    p = p.with_vars(merged)
-    q = q.with_vars(merged)
+    p, q = align(p.drop_trivial_vars(), q.drop_trivial_vars())
     if p.is_zero():
         base = q
     elif q.is_zero():
         base = p
-    elif not merged:
+    elif not p.vars:
         a = Fraction(p.terms.get((), 0))
         b = Fraction(q.terms.get((), 0))
         if a.denominator == b.denominator == 1:
@@ -698,7 +703,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     else:
         ph, _ = _fraction_clear(p.shifted(tuple(-e for e in monomial_content(p))))
         qh, _ = _fraction_clear(q.shifted(tuple(-e for e in monomial_content(q))))
-        i = len(merged) - 1
+        i = len(p.vars) - 1
         f, restvars = _as_univariate(ph, i)
         g, _ = _as_univariate(qh, i)
         cf, cg = _univ_content(f), _univ_content(g)
@@ -713,7 +718,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                 f = g
                 break
             f, g = g, _univ_exact_div(r, _univ_content(r))
-        base = _from_univariate(_univ_scale(f, cont), i, merged)
+        base = _from_univariate(_univ_scale(f, cont), i, p.vars)
     if base.is_zero():
         return base
     base = base.shifted(tuple(-e for e in monomial_content(base)))
@@ -1007,42 +1012,18 @@ def exact_div_linear(p: RatFunc):
     lin = LaurentPoly.var("a") - LaurentPoly.var("s")
     num, den = _cancel_common(p.num, p.den, lin)
     qn = exact_divide(num, lin)
-    den_on = _collapse_linear(den, "a", "s")
+    den_on = _substituted(den, "a", "s")
     if qn is None or den_on.is_zero():
-        witness_den = den_on if not den_on.is_zero() else LaurentPoly.const(1)
-        return RatFunc(_collapse_linear(num, "a", "s"), witness_den), False
+        return RatFunc(_substituted(num, "a", "s"), 1 if den_on.is_zero() else den_on), False
     return RatFunc(qn, den), True
-
-
-def _collapse_linear(p: LaurentPoly, x, y):
-    """Substitute x = y (the x-exponent is added onto the y-exponent)."""
-    if x not in p.vars:
-        return p
-    merged = tuple(sorted(set(p.vars) | {y}, key=_ALPHABET_INDEX.get))
-    p = p.with_vars(merged)
-    ix = merged.index(x)
-    iy = merged.index(y)
-    keep = tuple(j for j in range(len(merged)) if j != ix)
-    pos_y = keep.index(iy)
-    out = {}
-    for exps, c in p.terms.items():
-        vec = [exps[j] for j in keep]
-        vec[pos_y] += exps[ix]
-        key = tuple(vec)
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return LaurentPoly(tuple(merged[j] for j in keep), out)
 
 
 def substitute_equal(p: RatFunc, x, y) -> RatFunc:
     """Evaluate a rational function on the locus x = y."""
-    den = _collapse_linear(p.den, x, y)
+    den = _substituted(p.den, x, y)
     if den.is_zero():
         raise DivisionByZero(f"denominator vanishes identically on {x}={y}")
-    return RatFunc(_collapse_linear(p.num, x, y), den)
+    return RatFunc(_substituted(p.num, x, y), den)
 
 
 def limit_order2_at_v1(p: RatFunc) -> RatFunc:
@@ -1098,9 +1079,7 @@ class DeltaSeries:
                 raise ValidationError(f"negative series exponent {k}")
             if k >= order:
                 continue
-            if isinstance(c, (int, Fraction)):
-                c = LaurentPoly.const(c, ("z",))
-            c = c.with_vars(("z",)) if c.vars != ("z",) else c
+            c = LaurentPoly.const(c, ("z",)) if isinstance(c, (int, Fraction)) else c.with_vars(("z",))
             if not c.is_zero():
                 clean[k] = c
         self.coeffs = clean
