@@ -199,29 +199,41 @@ class ConnSum:
     right: object
 
 
+def _family_node(node):
+    """node itself when it is a family link node; ValidationError otherwise."""
+    if not isinstance(node, (Torus2, FramingShift, ConnSum)):
+        raise ValidationError(f"not a family link: {node!r}")
+    return node
+
+
+def _family_parts(link):
+    """The torus indices of link, left to right, and the sum of its framing shifts.
+
+    Walks the tree with a list, not recursion, so its depth is not bounded
+    by the interpreter's stack.
+    """
+    indices, shift, todo = [], 0, [link]
+    while todo:
+        node = _family_node(todo.pop())
+        if isinstance(node, Torus2):
+            indices.append(node.m)
+        elif isinstance(node, FramingShift):
+            shift += node.k
+            todo.append(node.child)
+        else:
+            todo += (node.right, node.left)
+    return indices, shift
+
+
 def qtilde(link) -> LaurentPoly:
     """The invariant on the supported family.
 
     Torus closures come from the memoized recursion; a framing shift by
-    k adds k; connected sums add.
+    k adds k; connected sums add.  So the value is the sum of T(2, m)
+    over the torus closures plus the sum of the framing shifts.
     """
-    if isinstance(link, Torus2):
-        return torus_value(link.m)
-    if isinstance(link, FramingShift):
-        return qtilde(link.child) + LaurentPoly.const(link.k, ("sp", "sm"))
-    if isinstance(link, ConnSum):
-        return qtilde(link.left) + qtilde(link.right)
-    raise ValidationError(f"not a family link: {link!r}")
-
-
-def _torus_indices(link):
-    if isinstance(link, Torus2):
-        return [link.m]
-    if isinstance(link, FramingShift):
-        return _torus_indices(link.child)
-    if isinstance(link, ConnSum):
-        return _torus_indices(link.left) + _torus_indices(link.right)
-    raise ValidationError(f"not a family link: {link!r}")
+    indices, shift = _family_parts(link)
+    return sum(map(torus_value, indices), LaurentPoly.const(shift, ("sp", "sm")))
 
 
 def bounded_qtilde(link, budget: int) -> LaurentPoly:
@@ -232,6 +244,8 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
     value, costs its number of terms, after every I(j) with 2 < |j| <= |k|
     on its side of 0.  It is defined by this path, not by what the fill
     computes or finds memoized, so it does not depend on earlier calls.
+    A value and its mirror image have the same number of terms, so the
+    walk reads the memoized values at |k| and |j|.
     """
     spent = 0
 
@@ -241,14 +255,14 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
         if spent > budget:
             raise ResourceLimit(f"term budget {budget} exceeded")
 
-    for m in _torus_indices(link):
+    for m in _family_parts(link)[0]:
         d = 1 if m > 1 else -1
         reached = 2 * d                 # I(-2..2) are base values
         for k in range(2 * d + m % 2, m + d, 2 * d):      # empty for T(0) and T(1)
             while (k - reached) * d > 0:          # T(k) reads I up to index k
                 reached += d
-                charge(i_value(reached))
-            charge(torus_value(k))
+                charge(i_value(abs(reached)))
+            charge(torus_value(abs(k)))
     return qtilde(link)
 
 
@@ -259,7 +273,8 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
 _TOKEN_RE = re.compile(r"\s*(torus2|frame|connsum|\(|\)|,|-?[0-9]+)", re.ASCII)
 
 #: Deepest nesting of frame/connsum that ``parse_family`` accepts; the
-#: parser, ``qtilde`` and ``family_to_text`` recurse once per level.
+#: parser recurses once per level (``qtilde`` and ``family_to_text`` walk
+#: a tree of any depth without recursion).
 MAX_FAMILY_DEPTH = 200
 
 
@@ -324,13 +339,25 @@ def parse_family(text: str):
 
 
 def family_to_text(link) -> str:
-    if isinstance(link, Torus2):
-        return f"torus2({link.m})"
-    if isinstance(link, FramingShift):
-        return f"frame({family_to_text(link.child)},{link.k})"
-    if isinstance(link, ConnSum):
-        return f"connsum({family_to_text(link.left)},{family_to_text(link.right)})"
-    raise ValidationError(f"not a family link: {link!r}")
+    """The text of a family link in the grammar of ``parse_family``.
+
+    Built from a list of pending nodes and texts, not by recursion; only
+    this function pushes a str, as every node is checked before it is pushed.
+    """
+    pieces, todo = [], [_family_node(link)]
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            pieces.append(node)
+        elif isinstance(node, Torus2):
+            pieces.append(f"torus2({node.m})")
+        elif isinstance(node, FramingShift):
+            pieces.append("frame(")
+            todo += (f",{node.k})", _family_node(node.child))
+        else:
+            pieces.append("connsum(")
+            todo += (")", _family_node(node.right), ",", _family_node(node.left))
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

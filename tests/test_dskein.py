@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skeinpoly import dskein
 from skeinpoly.dskein import (
     MAX_FAMILY_DEPTH,
     T3_VECTOR,
@@ -14,6 +15,7 @@ from skeinpoly.dskein import (
     FramingShift,
     Torus2,
     _half,
+    bounded_qtilde,
     conj_integrality_check,
     family_to_text,
     i_value,
@@ -21,7 +23,7 @@ from skeinpoly.dskein import (
     qtilde,
     torus_value,
 )
-from skeinpoly.errors import ParseError
+from skeinpoly.errors import ParseError, ValidationError
 from skeinpoly.rings import LaurentPoly, poly_to_text, sigma_swap
 
 
@@ -108,13 +110,22 @@ def test_integrality():
     assert ok and witness == ()
 
 
-@pytest.mark.parametrize("text, message", [
-    pytest.param("frame(,1)", "expected a family expression", id="frame-without-child"),
-    pytest.param("torus2(3))", "trailing input", id="trailing-input"),
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: parse_family("frame(,1)"), ParseError, "expected a family expression",
+                 id="frame-without-child"),
+    pytest.param(lambda: parse_family("torus2(3))"), ParseError, "trailing input",
+                 id="trailing-input"),
+    pytest.param(lambda: qtilde(3), ValidationError, "not a family link", id="qtilde-of-int"),
+    pytest.param(lambda: family_to_text("x"), ValidationError, "not a family link",
+                 id="text-of-str"),
+    pytest.param(lambda: family_to_text(FramingShift("x", 1)), ValidationError,
+                 "not a family link", id="text-of-str-child"),
+    pytest.param(lambda: qtilde(ConnSum(Torus2(1), None)), ValidationError,
+                 "not a family link", id="qtilde-of-none-child"),
 ])
-def test_documented_rejections(text, message):
-    with pytest.raises(ParseError, match=message):
-        parse_family(text)
+def test_documented_rejections(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_family_parser():
@@ -144,6 +155,40 @@ def test_family_nesting_limit():
                    "connsum(torus2(1)," * (depth + 1) + "torus2(1)" + ")" * (depth + 1)):
         with pytest.raises(ParseError, match=f"nested deeper than {depth}"):
             parse_family(deeper)
+
+
+def test_trees_deeper_than_the_stack():
+    # built through the API, past parse_family's depth limit; qtilde,
+    # bounded_qtilde and family_to_text walk them without recursion.  The
+    # trees themselves are never compared or printed: the dataclass
+    # __eq__, __hash__ and __repr__ recurse.
+    depth = 5000
+    one = LaurentPoly.const(1, ("sp", "sm"))
+    right, left, framed = Torus2(1), Torus2(1), Torus2(1)
+    for _ in range(depth):
+        right, left = ConnSum(Torus2(1), right), ConnSum(left, Torus2(1))
+        framed = FramingShift(framed, 1)
+    for tree in (right, left, framed):
+        assert qtilde(tree) == (depth + 1) * one
+        assert bounded_qtilde(tree, 0) == (depth + 1) * one      # T(2, 1) is a base value
+    assert family_to_text(right) == "connsum(torus2(1)," * depth + "torus2(1)" + ")" * depth
+    assert family_to_text(left) == "connsum(" * depth + "torus2(1)" + ",torus2(1))" * depth
+    assert family_to_text(framed) == "frame(" * depth + "torus2(1)" + ",1)" * depth
+    mixed = ConnSum(FramingShift(Torus2(-3), 2), ConnSum(Torus2(4), framed))
+    assert qtilde(mixed) == torus_value(-3) + torus_value(4) + (depth + 3) * one
+
+
+def test_bounded_qtilde_charges_mirror_images_without_building_them(monkeypatch):
+    # a value and its mirror image have the same number of terms, so the
+    # charge walk reads the positive index's memo; only the value itself is
+    # a sigma copy
+    bounded_qtilde(Torus2(-70), 10 ** 9)                  # warm the memos
+    calls = []
+    real = dskein.sigma_swap
+    monkeypatch.setattr(dskein, "sigma_swap", lambda p: calls.append(p) or real(p))
+    value = bounded_qtilde(Torus2(-70), 10 ** 9)
+    assert len(calls) == 1
+    assert value == -sigma_swap(torus_value(70))
 
 
 # With the recursion limit a few dozen frames above the starting depth,
