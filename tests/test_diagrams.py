@@ -131,6 +131,8 @@ _DIAGRAM_JSON = "skeinpoly-diagram/1"
                  id="braid-word-not-a-sequence"),
     pytest.param(lambda: cable2(LinkDiagram((), (), 1), {0: "x"}), ValidationError,
                  "is not a CablePattern", id="cable-pattern-not-a-pattern"),
+    pytest.param(lambda: parse_diagram("X[0,0,1,1]").in_slots(0), Unoriented,
+                 "carries no orientation", id="in-slots-unoriented"),
 ])
 def test_documented_rejections(build, error, message):
     with pytest.raises(error, match=message):

@@ -14,8 +14,9 @@ from skeinpoly.diagrams import (
     disjoint_union,
     homfly_adjoint_expansion,
     mirror,
+    parse_diagram,
 )
-from skeinpoly.errors import NotAKnot, ResourceLimit, ValidationError
+from skeinpoly.errors import InexactDivision, NotAKnot, ResourceLimit, Unoriented, ValidationError
 from skeinpoly.homfly import (
     DELTA,
     HomflyEngine,
@@ -51,6 +52,21 @@ def test_unknot_variants():
 def test_unlink_and_hopf():
     assert homfly_p(LinkDiagram((), (), 2)) == DELTA
     assert homfly_p(closure([1, 1])) == P_HOPF
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: HomflyEngine().p(parse_diagram("X[0,0,1,1]")), Unoriented,
+                 "needs an oriented diagram", id="p-unoriented"),
+    pytest.param(lambda: homfly_p(LinkDiagram((), None, 0)), ValidationError,
+                 "nonempty links only", id="p-empty-diagram"),
+    pytest.param(lambda: conjecture_sides(closure([1, 1]), LaurentPoly(("sp", "sm"), {})),
+                 NotAKnot, "2 components", id="conjecture-hopf"),
+    pytest.param(lambda: conjecture_sides(unknot_diagram(), LaurentPoly.const(1, ("sp", "sm"))),
+                 InexactDivision, "not divisible", id="conjecture-indivisible-value"),
+])
+def test_documented_rejections(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_mirror_rule():

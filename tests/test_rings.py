@@ -453,6 +453,14 @@ _S, _A, _V, _Z = (LaurentPoly.var(name) for name in "savz")
                  id="ratfunc-json-null"),
     pytest.param(lambda: series_from_json({"order": 2, "coeffs": []}), ParseError,
                  "series JSON", id="series-json-coeffs-list"),
+    pytest.param(lambda: RatFunc(1) / RatFunc(0), DivisionByZero, "zero rational function",
+                 id="ratfunc-divide-by-zero"),
+    pytest.param(lambda: RatFunc(0) ** -1, DivisionByZero, "negative power of zero",
+                 id="ratfunc-zero-to-negative-power"),
+    pytest.param(lambda: RatFunc(1, _S - 2).subs_int("s", 2), DivisionByZero,
+                 "denominator vanishes at s=2", id="ratfunc-subs-pole"),
+    pytest.param(lambda: _S.const_value(), ValidationError, "is not constant",
+                 id="const-value-of-variable"),
     pytest.param(lambda: _V.with_vars(("s",)), ValidationError, "do not contain v",
                  id="with-vars-missing"),
     pytest.param(lambda: _V.with_vars(("v", "q")), ValidationError, "unknown variable",
