@@ -199,29 +199,20 @@ class ConnSum:
     right: object
 
 
-def _family_node(node):
-    """node itself when it is a family link node; ValidationError otherwise."""
-    if not isinstance(node, (Torus2, FramingShift, ConnSum)):
-        raise ValidationError(f"not a family link: {node!r}")
-    return node
-
-
 def _family_parts(link):
-    """The torus indices of link, left to right, and the sum of its framing shifts.
-
-    Walks the tree with a list, not recursion, so its depth is not bounded
-    by the interpreter's stack.
-    """
+    """The torus indices of link, left to right, and its total framing shift; no recursion."""
     indices, shift, todo = [], 0, [link]
     while todo:
-        node = _family_node(todo.pop())
+        node = todo.pop()
         if isinstance(node, Torus2):
             indices.append(node.m)
         elif isinstance(node, FramingShift):
             shift += node.k
             todo.append(node.child)
-        else:
+        elif isinstance(node, ConnSum):
             todo += (node.right, node.left)
+        else:
+            raise ValidationError(f"not a family link: {node!r}")
     return indices, shift
 
 
@@ -229,8 +220,7 @@ def qtilde(link) -> LaurentPoly:
     """The invariant on the supported family.
 
     Torus closures come from the memoized recursion; a framing shift by
-    k adds k; connected sums add.  So the value is the sum of T(2, m)
-    over the torus closures plus the sum of the framing shifts.
+    k adds k; connected sums add: the sum of the T(2, m) and the shifts.
     """
     indices, shift = _family_parts(link)
     return sum(map(torus_value, indices), LaurentPoly.const(shift, ("sp", "sm")))
@@ -244,8 +234,7 @@ def bounded_qtilde(link, budget: int) -> LaurentPoly:
     value, costs its number of terms, after every I(j) with 2 < |j| <= |k|
     on its side of 0.  It is defined by this path, not by what the fill
     computes or finds memoized, so it does not depend on earlier calls.
-    A value and its mirror image have the same number of terms, so the
-    walk reads the memoized values at |k| and |j|.
+    A mirror image has as many terms as its value at |k| or |j|.
     """
     spent = 0
 
@@ -339,24 +328,19 @@ def parse_family(text: str):
 
 
 def family_to_text(link) -> str:
-    """The text of a family link in the grammar of ``parse_family``.
-
-    Built from a list of pending nodes and texts, not by recursion; only
-    this function pushes a str, as every node is checked before it is pushed.
-    """
-    pieces, todo = [], [_family_node(link)]
+    """The text of link in the grammar of ``parse_family``, built without recursion."""
+    _family_parts(link)             # ValidationError unless every node is a family node
+    pieces, todo = [], [link]
     while todo:
         node = todo.pop()
-        if type(node) is str:
+        if type(node) is str:       # a piece of text pushed below
             pieces.append(node)
         elif isinstance(node, Torus2):
             pieces.append(f"torus2({node.m})")
         elif isinstance(node, FramingShift):
-            pieces.append("frame(")
-            todo += (f",{node.k})", _family_node(node.child))
+            todo += (f",{node.k})", node.child, "frame(")
         else:
-            pieces.append("connsum(")
-            todo += (")", _family_node(node.right), ",", _family_node(node.left))
+            todo += (")", node.right, ",", node.left, "connsum(")
     return "".join(pieces)
 
 

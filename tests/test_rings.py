@@ -477,6 +477,8 @@ def test_substitution_edge_cases():
     # a variable absent from p: nothing changes
     assert (_S + 1).subs_int("v", 2) == _S + 1
     assert substitute_equal(RatFunc(_S + 1), "a", "s") == RatFunc(_S + 1)
+    # a variable put in place of itself: nothing changes
+    assert substitute_equal(RatFunc(_A ** 2 - _S), "a", "a") == RatFunc(_A ** 2 - _S)
     # the target variable absent from p: a's exponents move onto s
     collapsed = substitute_equal(RatFunc(_A ** 2 * _V - _V), "a", "s")
     assert collapsed.num.vars == ("s", "v") and collapsed == RatFunc(_S ** 2 * _V - _V)
