@@ -14,9 +14,10 @@ Three subcommands:
   qtilde-torus; RANGE looks like -3..3), each as soon as it is computed.
 
 Flags: --json (every subcommand) for machine-readable output;
---budget N for the skein node budget (``invariant`` and ``verify``, the
-subcommands that run skein engines; for ``invariant qtilde`` the budget
-counts polynomial terms, see ``dskein.bounded_qtilde``); --truncate K
+--budget N for the skein node budget (``invariant``, and ``verify`` of a
+suite that runs a skein engine, so not ``verify qtilde``; for ``invariant
+qtilde`` the budget counts polynomial terms, see
+``dskein.bounded_qtilde``); --truncate K
 (``invariant`` of a homfly kind only, K >= 1) to print the series
 expansion (substituting v = exp(-d/2)) of the value instead of the value
 itself; a bad K or kind exits 2 before anything is evaluated.  A
@@ -106,8 +107,9 @@ def _cmd_invariant(args):
     kind = args.kind
     if args.truncate is not None and kind not in ("homfly", "homfly-ad"):
         raise ParseError("--truncate applies to the homfly kinds only")
+    budget = homfly.DEFAULT_BUDGET if args.budget is None else args.budget
     if kind == "qtilde":
-        value = dskein.bounded_qtilde(dskein.parse_family(args.input), args.budget)
+        value = dskein.bounded_qtilde(dskein.parse_family(args.input), budget)
     else:
         engine_class, invariant = {
             "homfly": (homfly.HomflyEngine, homfly.homfly_p),
@@ -117,7 +119,7 @@ def _cmd_invariant(args):
             "kauffman-ad": (kauffman.KauffmanEngine, kauffman.k_adjoint),
         }[kind]
         d = _parse_link_input(args.input)
-        value = invariant(d, engine_class(budget=args.budget))
+        value = invariant(d, engine_class(budget=budget))
     if args.truncate is not None:
         value = series_exp_v(RatFunc(value), args.truncate)
     if args.json:
@@ -385,10 +387,13 @@ def checks(suite, budget):
 
 
 def _cmd_verify(args):
+    if args.suite == "qtilde" and args.budget is not None:
+        raise ParseError("--budget applies to the suites that run a skein engine")
     report = []
     failed = 0
     budget_hit = False
-    for check in checks(args.suite, args.budget):
+    budget = homfly.DEFAULT_BUDGET if args.budget is None else args.budget
+    for check in checks(args.suite, budget):
         start = time.monotonic()
         try:
             ok, expected, computed = check.run()
@@ -466,7 +471,7 @@ def _build_parser():
     for p in (p_inv, p_ver, p_tab):
         p.add_argument("--json", action="store_true", help="machine-readable output")
     for p in (p_inv, p_ver):
-        p.add_argument("--budget", type=_budget, default=homfly.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_budget, default=None,
                        help="skein recursion node budget (polynomial terms for qtilde)")
     return parser
 

@@ -337,11 +337,10 @@ def parse_diagram(text):
 
 def _planar(d: LinkDiagram) -> LinkDiagram:
     """d itself, once Euler's formula F = n + 2 holds for each connected part."""
-    if d.crossings:
-        found, needed = _face_sizes(d.opp())[1], len(d.crossings) + 2 * len(d.parts())
-        if found != needed:
-            raise ValidationError(f"PD code is not planar: {found} faces where "
-                                  f"Euler's formula needs {needed}")
+    found, needed = _face_sizes(d.opp())[1], len(d.crossings) + 2 * len(d.parts())
+    if found != needed:
+        raise ValidationError(f"PD code is not planar: {found} faces where "
+                              f"Euler's formula needs {needed}")
     return d
 
 
@@ -449,14 +448,6 @@ def _relabel_dense(d: LinkDiagram) -> LinkDiagram:
 # Writhe and linking data
 # ---------------------------------------------------------------------------
 
-def _component_index_map(d: LinkDiagram):
-    comp_of = {}
-    for idx, comp in enumerate(d.edge_components()):
-        for e in comp:
-            comp_of[e] = idx
-    return comp_of
-
-
 def writhe_data(d: LinkDiagram):
     """Total writhe, linking matrix, and diagonal writhe of an oriented diagram.
 
@@ -467,7 +458,7 @@ def writhe_data(d: LinkDiagram):
     if d.signs is None:
         raise Unoriented("writhe needs an oriented diagram")
     n = d.num_components()
-    comp_of = _component_index_map(d)
+    comp_of = {e: idx for idx, comp in enumerate(d.edge_components()) for e in comp}
     half = [[0] * n for _ in range(n)]
     for ci, x in enumerate(d.crossings):
         s = d.signs[ci]
@@ -487,24 +478,6 @@ def writhe_data(d: LinkDiagram):
     return total, tuple(matrix), w
 
 
-def _flow_heads(d: LinkDiagram):
-    """Per dart, whether it is the head end of its edge (any diagram).
-
-    An unoriented diagram flows against ``strands()``: the dart each
-    edge leaves from in that walk is its head.
-    """
-    head = [False] * (4 * len(d.crossings))
-    if d.signs is not None:
-        for ci in range(len(d.crossings)):
-            for slot in d.in_slots(ci):
-                head[4 * ci + slot] = True
-    else:
-        for walk in d.strands():
-            for t in walk:
-                head[t] = True
-    return head
-
-
 def _normalized(x, ci, head):
     """Crossing ci rotated so its incoming under-strand sits at slot 0, and its sign.
 
@@ -519,19 +492,14 @@ def _normalized(x, ci, head):
 
 
 def self_writhes(d: LinkDiagram):
-    """Per-component self-writhe; defined for unoriented diagrams too.
+    """Per-component self-writhe: the diagonal of ``writhe_data`` under any orientation.
 
-    A self-crossing's sign does not depend on traversal direction, so an
-    arbitrary walk direction per component suffices.
+    Defined for unoriented diagrams too: a self-crossing's sign does not
+    depend on traversal direction, so ``_orient_arbitrarily`` serves.
+    Free loops give zero.
     """
-    comp_of = _component_index_map(d)
-    head = _flow_heads(d)
-    totals = [0] * d.num_components()
-    for ci, x in enumerate(d.crossings):
-        cu = comp_of[x[0]]
-        if cu == comp_of[x[1]]:
-            totals[cu] += _normalized(x, ci, head)[1]
-    return tuple(totals)
+    matrix = writhe_data(_orient_arbitrarily(d))[1]
+    return tuple(row[i] for i, row in enumerate(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -1277,7 +1245,10 @@ def _orient_arbitrarily(d: LinkDiagram) -> LinkDiagram:
     """Assign a deterministic orientation to an unoriented diagram."""
     if d.signs is not None:
         return d
-    head = _flow_heads(d)
+    # each edge flows against its walk in ``strands()``: the dart it leaves from is its head
+    head = [False] * (4 * len(d.crossings))
+    for t in chain.from_iterable(d.strands()):
+        head[t] = True
     normal = [_normalized(x, ci, head) for ci, x in enumerate(d.crossings)]
     return LinkDiagram._trusted(tuple(x for x, _ in normal), tuple(s for _, s in normal),
                                 d.free_loops)
@@ -1323,7 +1294,6 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
     oriented_out = d.signs is not None
     work = d if oriented_out else _orient_arbitrarily(d)
     opp, walks = work.opp(), work.strands()
-    head = _flow_heads(work)
     partner = [0] * (16 * len(work.crossings))
 
     def port(ci, col, row, slot):
@@ -1378,7 +1348,7 @@ def cable2(d: LinkDiagram, patterns, mode="antiparallel"):
     for comp_idx, walk in enumerate(walks):
         pat = patterns[comp_idx]
         for t in walk:
-            h = t if head[t] else opp[t]
+            h = t if (t & 3) in work.in_slots(t >> 2) else opp[t]
             t0, t1 = stub(opp[h], 0), stub(opp[h], 1)
             h0, h1 = stub(h, 0), stub(h, 1)
             if t != walk[0] or pat.kind == CablePattern.PARALLEL:
@@ -1442,9 +1412,6 @@ def homfly_adjoint_expansion(d: LinkDiagram):
     terms = []
     for mask in range(1 << n):
         sign = -1 if (n - bin(mask).count("1")) % 2 else 1
-        if mask == 0:
-            terms.append((sign, LinkDiagram((), (), 0)))
-            continue
         patterns = {i: (CablePattern.parallel2() if mask & (1 << i) else CablePattern.delete())
                     for i in range(n)}
         terms.append((sign, cable2(d, patterns, mode="antiparallel")))

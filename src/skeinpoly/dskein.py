@@ -200,13 +200,17 @@ class ConnSum:
 
 
 def _family_parts(link):
-    """The torus indices of link, left to right, and its total framing shift; no recursion."""
+    """The torus indices of link, left to right, and its total framing shift; no recursion.
+
+    A torus index or framing shift that is not an int (bools included)
+    makes its node not a family link.
+    """
     indices, shift, todo = [], 0, [link]
     while todo:
         node = todo.pop()
-        if isinstance(node, Torus2):
+        if isinstance(node, Torus2) and type(node.m) is int:
             indices.append(node.m)
-        elif isinstance(node, FramingShift):
+        elif isinstance(node, FramingShift) and type(node.k) is int:
             shift += node.k
             todo.append(node.child)
         elif isinstance(node, ConnSum):

@@ -137,8 +137,6 @@ class LaurentPoly:
     @staticmethod
     def const(c, variables=()):
         c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        if c == 0:
-            return LaurentPoly(variables, {})
         return LaurentPoly(variables, {(0,) * len(variables): c})
 
     @staticmethod
@@ -189,8 +187,6 @@ class LaurentPoly:
 
     def drop_trivial_vars(self):
         """Remove variables whose exponent is 0 in every term."""
-        if not self.vars:
-            return self
         used = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
         if len(used) == len(self.vars):
             return self

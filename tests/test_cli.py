@@ -389,6 +389,20 @@ def test_verify_homfly(capsys):
     assert out.count("PASS") == 6
 
 
+def test_verify_qtilde_rejects_budget(capsys):
+    # the qtilde suite runs no skein engine, so a budget there would be ignored
+    for argv in (["verify", "qtilde", "--budget", "0"], ["verify", "qtilde", "--budget=1e9", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --budget applies to the suites that run a skein engine\n"
+    # without the flag, and in "all", the engine suites keep the budget
+    assert run(capsys, "verify", "qtilde")[0] == 0
+    code, out, _ = run(capsys, "verify", "all", "--budget", "0")
+    lines = out.splitlines()
+    assert code == 3 and all(line.startswith(("PASS qtilde/", "SKIP ")) for line in lines)
+    assert any(line.startswith("PASS qtilde/") for line in lines)
+
+
 def test_verify_budget_skips_every_check(capsys):
     code, out, _ = run(capsys, "verify", "homfly", "--budget", "1")
     lines = out.splitlines()

@@ -142,6 +142,8 @@ def test_documented_rejections(build, error, message):
 def test_text_round_trip():
     d = closure([1, 1, 1])
     assert parse_diagram(diagram_to_text(d)) == d
+    assert hash(parse_diagram(diagram_to_text(d))) == hash(d)
+    assert repr(d) == f"LinkDiagram({diagram_to_text(d)!r})"
     blob = diagram_to_json(d)
     assert diagram_from_json(blob) == d
     u = parse_diagram("X[0,0,1,1];O:2")
@@ -278,6 +280,10 @@ def test_disjoint_union_and_connected_sum():
 def test_writhe_requires_orientation():
     with pytest.raises(Unoriented):
         writhe_data(parse_diagram("X[0,0,1,1]"))
+    # self-writhes need none; free loops give zero
+    u = parse_diagram("X[0,0,1,1];O:2")
+    assert self_writhes(u) == (1, 0, 0) and self_writhes(mirror(u)) == (-1, 0, 0)
+    assert self_writhes(parse_diagram("O:2")) == (0, 0) and self_writhes(parse_diagram("")) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +353,10 @@ def test_cable_crossing_count_with_twists():
     pats = {0: CablePattern.twisted(-1), 1: CablePattern.twisted(3)}
     c = cable2(d, pats, mode="parallel")
     assert len(c.crossings) == 4 * 2 + 1 + 3
+    # a twist of 0 is the parallel pattern
+    for mode in ("antiparallel", "parallel"):
+        assert cable2(d, {0: CablePattern.twisted(0), 1: CablePattern.parallel2()}, mode) \
+            == cable2(d, {0: CablePattern.parallel2(), 1: CablePattern.parallel2()}, mode)
 
 
 def test_cable_pattern_missing_and_delete():

@@ -122,6 +122,27 @@ def test_integrality():
                  "not a family link", id="text-of-str-child"),
     pytest.param(lambda: qtilde(ConnSum(Torus2(1), None)), ValidationError,
                  "not a family link", id="qtilde-of-none-child"),
+    pytest.param(lambda: parse_family("torus2()"), ParseError, "expected an integer",
+                 id="torus-without-index"),
+    # a torus index or framing shift must be an int, as LinkDiagram's fields must
+    pytest.param(lambda: qtilde(FramingShift(Torus2(1), 1.5)), ValidationError,
+                 "not a family link", id="qtilde-of-float-shift"),
+    pytest.param(lambda: qtilde(FramingShift(Torus2(1), True)), ValidationError,
+                 "not a family link", id="qtilde-of-bool-shift"),
+    pytest.param(lambda: qtilde(FramingShift(Torus2(1), "x")), ValidationError,
+                 "not a family link", id="qtilde-of-str-shift"),
+    pytest.param(lambda: family_to_text(FramingShift(Torus2(1), "x")), ValidationError,
+                 "not a family link", id="text-of-str-shift"),
+    pytest.param(lambda: qtilde(Torus2(True)), ValidationError, "not a family link",
+                 id="qtilde-of-bool-index"),
+    pytest.param(lambda: qtilde(Torus2(1.5)), ValidationError, "not a family link",
+                 id="qtilde-of-float-index"),
+    pytest.param(lambda: qtilde(Torus2(3.0)), ValidationError, "not a family link",
+                 id="qtilde-of-integral-float-index"),
+    pytest.param(lambda: bounded_qtilde(ConnSum(Torus2(3), Torus2(3.0)), 10 ** 6),
+                 ValidationError, "not a family link", id="bounded-qtilde-of-float-index"),
+    pytest.param(lambda: family_to_text(Torus2(1.5)), ValidationError, "not a family link",
+                 id="text-of-float-index"),
 ])
 def test_documented_rejections(build, error, message):
     with pytest.raises(error, match=message):

@@ -152,6 +152,7 @@ def test_dubval_reduction():
     v = DubVal((a + 1) * z ** -1)
     assert v.k == 1 and v.num == a + 1
     assert v.ratfunc() == RatFunc(a + 1, s - s ** -1)
+    assert repr(v) == "DubVal(LaurentPoly('z^-1 + a*z^-1'))"
 
 
 def test_loop_value_at_alpha_eq_s_is_two():

@@ -83,6 +83,7 @@ def test_ratfunc_field_axioms_random():
         assert a + b == b + a
         assert a * b == b * a
         assert a - a == RatFunc(0)
+        assert 1 - a == RatFunc(1) - a
         if not b.is_zero():
             assert (a / b) * b == a
 
@@ -143,6 +144,12 @@ def test_poly_gcd_small():
     assert poly_gcd(g, g) == g
     assert poly_gcd(a - s, s - a) == a - s
     assert poly_gcd(LaurentPoly.const(4), LaurentPoly.const(6)).const_value() == 2
+    # a fractional constant is a unit
+    assert poly_gcd(LaurentPoly.const(Fraction(1, 2)), LaurentPoly.const(4)).const_value() == 1
+    # a zero operand on either side leaves the other, made primitive
+    zero = LaurentPoly(("a",), {})
+    assert poly_gcd(zero, 2 * a - 2 * s) == poly_gcd(2 * s - 2 * a, zero) == a - s
+    assert poly_gcd(zero, zero).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +273,12 @@ def test_delta_series_arithmetic():
     assert (s1 + s2).coefficient(0) == LaurentPoly.const(3, ("z",))
     assert (s1 * s2).coefficient(1) == 2 * z
     assert (s1 * s2).coefficient(2) == LaurentPoly.const(4, ("z",)) + z ** 2
+    assert s1 - s2 == DeltaSeries(3, {0: -1, 1: z, 2: 2 - z ** 2})
+    assert -s1 == DeltaSeries(3, {0: -1, 1: -z, 2: -2})
+    assert 1 - s1 == DeltaSeries(3, {1: -z, 2: -2})
+    assert (s1 - s1).to_text() == "0 + O(d^3)" and DeltaSeries(2).to_text() == "0 + O(d^2)"
+    # a coefficient at or above the order is dropped
+    assert DeltaSeries(2, {0: 1, 2: z, 5: 3}).coeffs == {0: LaurentPoly.const(1, ("z",))}
 
 
 def test_equal_series_hash_equal():
