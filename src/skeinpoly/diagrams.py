@@ -1190,10 +1190,12 @@ class CablePattern:
     def __init__(self, kind, twist=0):
         if kind not in (self.PARALLEL, self.TWIST, self.TURNBACK, self.DELETE):
             raise ValidationError(f"unknown pattern {kind!r}")
+        if type(twist) is not int:
+            raise ValidationError(f"twist {twist!r} is not an integer")
         if kind == self.TWIST and twist == 0:
             kind = self.PARALLEL
         self.kind = kind
-        self.twist = int(twist)
+        self.twist = twist
 
     @staticmethod
     def parallel2():

@@ -203,7 +203,9 @@ def _family_parts(link):
     """The torus indices of link, left to right, and its total framing shift; no recursion.
 
     A torus index or framing shift that is not an int (bools included)
-    makes its node not a family link.
+    makes its node not a family link.  The error names the node's type and
+    the type of its bad field, never their reprs: the dataclass repr of a
+    deep tree recurses.
     """
     indices, shift, todo = [], 0, [link]
     while todo:
@@ -215,8 +217,12 @@ def _family_parts(link):
             todo.append(node.child)
         elif isinstance(node, ConnSum):
             todo += (node.right, node.left)
+        elif isinstance(node, (Torus2, FramingShift)):
+            field = "m" if isinstance(node, Torus2) else "k"
+            raise ValidationError(f"not a family link: {type(node).__name__} with {field} of "
+                                  f"type {type(getattr(node, field)).__name__}, not int")
         else:
-            raise ValidationError(f"not a family link: {node!r}")
+            raise ValidationError(f"not a family link: a value of type {type(node).__name__}")
     return indices, shift
 
 

@@ -29,9 +29,9 @@ no coefficient is zero, and each coefficient is an ``int`` or a
 ``Fraction`` whose denominator is not 1.  Outside input (user code,
 ``const``/``var``, ``poly_from_json``) is checked once, by
 ``LaurentPoly.__init__``.  The ring operations (``+``, ``-``, ``*``,
-``**`` and ``shifted``) build their results with the unchecked
-``LaurentPoly._trusted``: their operands already meet the invariant, so
-only a coefficient that is not an ``int`` is normalised.
+``**`` and ``shifted``) and ``sigma_swap`` build their results with the
+unchecked ``LaurentPoly._trusted``: their operands already meet the
+invariant, so only a coefficient that is not an ``int`` is normalised.
 
 Every substitution for one variable, a number (``subs_int``, and so the
 limit at v = 1) or another variable (``substitute_equal`` and
@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, gcd as _int_gcd
-from operator import add as _add
+from operator import add as _add, itemgetter
 
 from .errors import (
     DivisionByZero,
@@ -386,11 +386,22 @@ def align(a: LaurentPoly, b: LaurentPoly):
 # Terms are sorted by graded-lexicographic order on the exponent vector:
 # total degree ascending, then the exponent tuple descending, so that the
 # earlier alphabet variable wins ties.  ``_sorted_exps`` produces this order
-# with C-level tuple comparisons (a descending sort, then a stable sort on
-# the total degree); ``_term_sort_key`` is the same order as one key, for
-# the leading-term lookups.  Coefficients print as "n" or "n/d" at any
-# length; variables with exponent zero are omitted; exponent one prints
-# bare.  The zero polynomial prints as "0".  The format is bit-stable.
+# with stable single-key sorts: descending on each exponent but the last,
+# from the second-to-last to the first, then ascending on the total degree.
+# Within one degree the last exponent is fixed by the others, so this is
+# the full tuple order.  ``_term_sort_key`` is the same order as one key,
+# for the leading-term lookups.
+#
+# ``_poly_text`` writes column by column: each variable's exponent column
+# maps through a small dict of "*name^e" texts ("" for exponent 0, "*name"
+# for 1), the columns join per term, and each term is its coefficient's
+# text followed by its monomial, a coefficient 1 or -1 dropping its digit
+# before a nonempty monomial.  The terms join with " + "; no term text holds
+# a blank, and a term starts with "-" only when its coefficient is
+# negative, so replacing " + -" with " - " gives the signs.  Coefficients
+# print as "n" or "n/d" at any length; variables with exponent zero are
+# omitted; exponent one prints bare.  The zero polynomial prints as "0".
+# The format is bit-stable.
 # --------------------------------------------------------------------------
 
 def _term_sort_key(exps):
@@ -398,7 +409,9 @@ def _term_sort_key(exps):
 
 
 def _sorted_exps(terms):
-    order = sorted(terms, reverse=True)
+    order = list(terms)
+    for i in reversed(range(len(order[0]) - 1 if order else 0)):
+        order.sort(key=itemgetter(i), reverse=True)
     order.sort(key=sum)
     return order
 
@@ -412,28 +425,23 @@ def poly_to_text(p: LaurentPoly) -> str:
 
 def _poly_text(p, decimal):
     """poly_to_text, printing each integer with decimal."""
-    p = p.drop_trivial_vars()
     terms = p.terms
     if not terms:
         return "0"
-    # per variable: the text of each exponent that occurs ("" for exponent 0)
-    powers = [{e: "" if e == 0 else name if e == 1 else f"{name}^{e}"
-               for e in {exps[i] for exps in terms}}
-              for i, name in enumerate(p.vars)]
-    pieces = []
-    for exps in _sorted_exps(terms):
-        mono = "*".join(filter(None, map(dict.__getitem__, powers, exps)))
-        c = terms[exps]
-        sign = " - " if c < 0 else " + "
-        c = abs(c)
-        if c == 1 and mono:
-            pieces.append(sign + mono)
-        else:
-            num = decimal(c) if type(c) is int else f"{decimal(c.numerator)}/{decimal(c.denominator)}"
-            pieces.append(f"{sign}{num}*{mono}" if mono else sign + num)
-    head = pieces[0]
-    pieces[0] = "-" + head[3:] if head[1] == "-" else head[3:]
-    return "".join(pieces)
+    order = _sorted_exps(terms)
+    columns = []
+    for name, column in zip(p.vars, zip(*order)):
+        texts = {e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}" for e in set(column)}
+        columns.append(map(texts.__getitem__, column))
+    monos = map("".join, zip(*columns)) if columns else [""]
+    coeffs = [terms[exps] for exps in order]
+    if all(type(c) is int for c in coeffs):
+        nums = map(decimal, coeffs)
+    else:
+        nums = [decimal(c) if type(c) is int else f"{decimal(c.numerator)}/{decimal(c.denominator)}"
+                for c in coeffs]
+    return " + ".join([(m[1:] if c == "1" else "-" + m[1:] if c == "-1" else c + m) if m else c
+                       for c, m in zip(nums, monos)]).replace(" + -", " - ")
 
 
 def poly_to_json(p: LaurentPoly) -> dict:
@@ -931,7 +939,8 @@ def _ratfunc_reduce(num: LaurentPoly, den: LaurentPoly, coprime=False):
 def sigma_swap(p: LaurentPoly) -> LaurentPoly:
     """Exchange sp and sm in every term; an involution."""
     p = p.with_vars(("sp", "sm"))
-    return LaurentPoly(("sp", "sm"), {(j, i): c for (i, j), c in p.terms.items()})
+    # the swapped terms of a valid polynomial meet the class invariant
+    return LaurentPoly._trusted(p.vars, {(j, i): c for (i, j), c in p.terms.items()})
 
 
 def validate_sigma_poly(p: LaurentPoly):

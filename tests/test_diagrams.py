@@ -123,6 +123,15 @@ _DIAGRAM_JSON = "skeinpoly-diagram/1"
                  ValidationError, "unknown cable mode", id="cable-unknown-mode"),
     pytest.param(lambda: CablePattern("x"), ValidationError, "unknown pattern",
                  id="unknown-cable-pattern"),
+    # a twist must be an int, as LinkDiagram's fields must: not truncated, not a bool
+    pytest.param(lambda: CablePattern.twisted(1.5), ValidationError, "not an integer",
+                 id="cable-twist-float"),
+    pytest.param(lambda: CablePattern.twisted(True), ValidationError, "not an integer",
+                 id="cable-twist-bool"),
+    pytest.param(lambda: CablePattern(CablePattern.PARALLEL, 2.0), ValidationError,
+                 "not an integer", id="cable-twist-integral-float"),
+    pytest.param(lambda: cable2(closure([1, 1, 1]), {0: CablePattern.twisted(0.4)}),
+                 ValidationError, "not an integer", id="cable-twist-below-one"),
     pytest.param(lambda: LinkDiagram([5]), ValidationError, "must be sequences",
                  id="crossing-not-a-sequence"),
     pytest.param(lambda: LinkDiagram([(0, 0, 1, 1)], 1, 0), ValidationError,

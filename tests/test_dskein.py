@@ -199,6 +199,20 @@ def test_trees_deeper_than_the_stack():
     assert qtilde(mixed) == torus_value(-3) + torus_value(4) + (depth + 3) * one
 
 
+def test_deep_tree_with_a_bad_field_is_rejected():
+    # the error names the bad node's type and field type; it does not repr
+    # the tree below it
+    chain = Torus2(1)
+    for _ in range(5000):
+        chain = FramingShift(chain, 1)
+    with pytest.raises(ValidationError, match="FramingShift with k of type float"):
+        qtilde(FramingShift(chain, 1.5))
+    with pytest.raises(ValidationError, match="Torus2 with m of type FramingShift"):
+        family_to_text(ConnSum(Torus2(chain), chain))
+    with pytest.raises(ValidationError, match="not a family link"):
+        bounded_qtilde(ConnSum(chain, FramingShift(chain, True)), 10)
+
+
 def test_bounded_qtilde_charges_mirror_images_without_building_them(monkeypatch):
     # a value and its mirror image have the same number of terms, so the
     # charge walk reads the positive index's memo; only the value itself is

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -166,6 +168,25 @@ def test_sigma_swap():
     for _ in range(20):
         q = rand_poly(rng, ("sp", "sm"), span=2)
         assert sigma_swap(sigma_swap(q)) == q
+
+
+def test_sigma_swap_builds_what_the_checked_constructor_builds():
+    with pytest.raises(ValidationError):
+        sigma_swap(V("s") + 1)
+    with pytest.raises(ValidationError):
+        sigma_swap(LaurentPoly(("sp", "z"), {(1, 1): 2}))
+    rng = random.Random(21)
+    for _ in range(50):
+        q = rand_poly(rng, ("sp", "sm"), nterms=8, span=4, denom=True)
+        r = sigma_swap(q)
+        assert sigma_swap(r) == q
+        checked = LaurentPoly(("sp", "sm"), {(j, i): c for (i, j), c in q.terms.items()})
+        assert r.vars == checked.vars
+        assert [(e, c, type(c)) for e, c in r.terms.items()] == \
+            [(e, c, type(c)) for e, c in checked.terms.items()]
+    for one_var in (V("sp", 2) - 3, V("sm", -1) * Fraction(1, 2)):
+        r = sigma_swap(one_var)
+        assert r.vars == ("sp", "sm") and sigma_swap(r) == one_var
 
 
 def test_specialize_kauffman_phi():
@@ -350,6 +371,74 @@ def test_printers_match_reference():
         assert poly_to_text(p) == _reference_text(p)
         assert poly_to_json(p) == _reference_json(p)
         assert _sorted_exps(p.terms) == sorted(p.terms, key=_term_sort_key)
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift str()'s digit limit, where the interpreter has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _tied_exponents(rng, k, degree):
+    """Exponent vectors of one total degree that agree on every prefix length up to k - 1."""
+    base = [rng.randint(-3, 3) for _ in range(k - 1)]
+    out = set()
+    for i in range(k):
+        for _ in range(3):
+            head = base[:i] + [rng.randint(-3, 3) for _ in range(k - 1 - i)]
+            out.add(tuple(head) + (degree - sum(head),))
+    return out
+
+
+def test_column_writer_matches_reference():
+    # the column writer, the single-key sorts and the sign fix-up, each
+    # against the independent reference printers
+    rng = random.Random(20261021)
+    polys = []
+    for k in range(4, 8):                   # ties within one degree at every prefix length
+        for _ in range(8):
+            variables = tuple(sorted(rng.sample(ALPHABET, k), key=ALPHABET.index))
+            terms = {}
+            for degree in rng.sample(range(-4, 5), 3):
+                for exps in _tied_exponents(rng, k, degree):
+                    terms[exps] = rng.choice([1, -1, 5, -12, Fraction(-1, 3), Fraction(7, 2)])
+            polys.append(LaurentPoly(variables, terms))
+    for _ in range(3):                      # dense sp/sm rows of torus-table size
+        polys.append(sp_sm({(i, j): rng.choice([1, -1]) * rng.getrandbits(50)
+                            for i in range(71) for j in range(71 - i)}))
+    x, y = V("sp"), V("sm")
+    polys += [                              # 1 and -1 beside a monomial and alone
+        1 + x - y, -1 - x + y, x - 1, -x + 1, -x * y + y ** 2 - 1, x ** -1 - y ** -1,
+        LaurentPoly.const(1, ("sp", "sm")), LaurentPoly.const(-1, ("sp", "sm")),
+    ]
+    s, z = V("s"), V("z")
+    third = Fraction(1, 3)
+    polys += [                              # fractions with numerator 1 or -1
+        -third * s, third * s, -third * s + third, third - third * s * z,
+        LaurentPoly(("s", "z"), {(1, 0): Fraction(-1, 3), (0, 1): Fraction(1, 7), (0, 0): -1}),
+    ]
+    long_polys = [                          # a coefficient beyond str()'s digit limit
+        LaurentPoly(("s", "z"), {(0, 0): 1, (1, 0): -(3 ** 9500), (1, 1): -1,
+                                 (2, 0): Fraction(-1, 7 ** 5200), (0, 3): 10 ** 4400 + 7}),
+    ]
+    for p in polys:
+        assert poly_to_text(p) == _reference_text(p)
+        assert poly_to_json(p) == _reference_json(p)
+        assert _sorted_exps(p.terms) == sorted(p.terms, key=_term_sort_key)
+    assert poly_to_text(-third * s) == "-1/3*s"
+    for p in long_polys:
+        text, blob = poly_to_text(p), poly_to_json(p)
+        assert _sorted_exps(p.terms) == sorted(p.terms, key=_term_sort_key)
+        with _any_int_length():
+            assert text == _reference_text(p)
+            assert blob == _reference_json(p)
 
 
 def test_bool_coefficients_print_as_int():
