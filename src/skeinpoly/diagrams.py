@@ -628,8 +628,8 @@ def _component_darts(d: LinkDiagram, comp_index):
     """
     walks = d.strands()
     n = len(walks) + d.free_loops
-    if not 0 <= comp_index < n:
-        raise UnknownComponent(f"component {comp_index} of {n}")
+    if type(comp_index) is not int or not 0 <= comp_index < n:
+        raise UnknownComponent(f"component {comp_index!r} of {n}")
     if comp_index >= len(walks):
         return None
     t = walks[comp_index][0]
@@ -668,8 +668,13 @@ def connected_sum(d1: LinkDiagram, c1, d2: LinkDiagram, c2) -> LinkDiagram:
 
 
 def add_kinks(d: LinkDiagram, comp_index, k) -> LinkDiagram:
-    """Insert |k| curls of sign k on one component (changing its framing by k)."""
+    """Insert |k| curls of sign k on one component (changing its framing by k).
+
+    A k that is not an int (bools included) raises ValidationError.
+    """
     ends = _component_darts(d, comp_index)
+    if type(k) is not int:
+        raise ValidationError(f"kink count {k!r} is not an integer")
     if k == 0:
         return d
     count, sign = abs(k), (1 if k > 0 else -1)
@@ -1226,8 +1231,8 @@ def delete_components(d: LinkDiagram, comp_indices) -> LinkDiagram:
     drop_edges = set()
     drop_loops = 0
     for idx in set(comp_indices):
-        if not 0 <= idx < n:
-            raise UnknownComponent(f"component {idx} of {n}")
+        if type(idx) is not int or not 0 <= idx < n:
+            raise UnknownComponent(f"component {idx!r} of {n}")
         if idx >= len(comps):
             drop_loops += 1
         else:

@@ -182,19 +182,60 @@ def _half(c):
 # The supported link family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Torus2:
+class _FamilyNode:
+    """``==``, ``hash`` and ``repr`` of the family nodes, from one walk that does not recurse.
+
+    Trees compare as the dataclass methods would (field by field, types
+    exactly), so trees of any depth compare, hash and print, and a field
+    of any type prints by its own repr.
+    """
+
+    def _pieces(self):
+        """The tree in preorder: each node's type, ``name=`` before each
+        field and ``)`` after the last; a field that is not a node, as a
+        1-tuple of itself.
+        """
+        out, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if not isinstance(node, _FamilyNode):
+                out.append(node)
+                continue
+            out.append(type(node))
+            todo.append(")")
+            names = node.__match_args__
+            for i in reversed(range(len(names))):
+                value = getattr(node, names[i])
+                todo += (value if isinstance(value, _FamilyNode) else (value,),
+                         ", " * (i > 0) + names[i] + "=")
+        return tuple(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._pieces() == other._pieces()
+
+    def __hash__(self):
+        return hash(self._pieces())
+
+    def __repr__(self):
+        return "".join(p.__qualname__ + "(" if isinstance(p, type) else
+                       p if type(p) is str else repr(p[0]) for p in self._pieces())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Torus2(_FamilyNode):
     m: int
 
 
-@dataclass(frozen=True)
-class FramingShift:
+@dataclass(frozen=True, eq=False, repr=False)
+class FramingShift(_FamilyNode):
     child: object
     k: int
 
 
-@dataclass(frozen=True)
-class ConnSum:
+@dataclass(frozen=True, eq=False, repr=False)
+class ConnSum(_FamilyNode):
     left: object
     right: object
 
@@ -204,8 +245,7 @@ def _family_parts(link):
 
     A torus index or framing shift that is not an int (bools included)
     makes its node not a family link.  The error names the node's type and
-    the type of its bad field, never their reprs: the dataclass repr of a
-    deep tree recurses.
+    the type of its bad field, not the tree below it.
     """
     indices, shift, todo = [], 0, [link]
     while todo:
@@ -337,21 +377,15 @@ def parse_family(text: str):
     return expr
 
 
+# the pieces of a family tree (see ``_FamilyNode._pieces``) that print otherwise in the grammar
+_TEXT = {Torus2: "torus2(", FramingShift: "frame(", ConnSum: "connsum(",
+         "m=": "", "child=": "", "left=": "", ", k=": ",", ", right=": ","}
+
+
 def family_to_text(link) -> str:
     """The text of link in the grammar of ``parse_family``, built without recursion."""
     _family_parts(link)             # ValidationError unless every node is a family node
-    pieces, todo = [], [link]
-    while todo:
-        node = todo.pop()
-        if type(node) is str:       # a piece of text pushed below
-            pieces.append(node)
-        elif isinstance(node, Torus2):
-            pieces.append(f"torus2({node.m})")
-        elif isinstance(node, FramingShift):
-            todo += (f",{node.k})", node.child, "frame(")
-        else:
-            todo += (")", node.right, ",", node.left, "connsum(")
-    return "".join(pieces)
+    return "".join(str(p[0]) if type(p) is tuple else _TEXT.get(p, p) for p in link._pieces())
 
 
 # ---------------------------------------------------------------------------

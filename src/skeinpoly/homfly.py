@@ -44,11 +44,6 @@ DELTA = LaurentPoly(("v", "z"), {(-1, -1): 1, (1, -1): -1})
 _ONE = LaurentPoly.const(1, ("v", "z"))
 
 
-@functools.cache
-def _delta_pow(n):
-    return DELTA ** n
-
-
 class HomflyEngine(SkeinEngine):
     """The skein engine for P; see ``SkeinEngine`` for the constructor."""
 
@@ -56,7 +51,7 @@ class HomflyEngine(SkeinEngine):
     __init__ = SkeinEngine.__init__
 
     # each split part past the first and each loop is worth DELTA; P ignores curls
-    _unit_pow = staticmethod(_delta_pow)
+    _unit_pow = staticmethod(functools.cache(lambda n: DELTA ** n))
     _curl_pow = staticmethod(lambda n: _ONE)
     # 1/v P(L+) - v P(L-) = z P(L0), solved for the crossing's own sign
     _relation = {

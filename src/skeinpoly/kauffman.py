@@ -20,12 +20,12 @@ as the one whose curl carries a^(+1); see the engine tests.
 For every nonempty link F = D/delta lies in Z[a^(+-1), z^(+-1)]
 (Kauffman, "An invariant of regular isotopy", Trans. AMS 318, 1990).  The
 engine computes F, which is 1 on the unknot as P is, as a Laurent
-polynomial in (a, z) and never divides or converts; the public value is
-delta F, and 1 on the empty diagram.  ``DubVal.num`` and ``DubVal.k``
-derive the printed form num / (s - 1/s)^k over (s, a) on demand, k being
-the order of the pole at z = 0, and ``DubVal.ratfunc`` builds it.  The
-two parts share no factor: s - 1/s vanishes only at s = 1 and s = -1,
-and there num is the value's z^(-k) row, which is not zero.
+polynomial in (a, z) and never divides or converts; the public value,
+one ``DubVal``, is delta F, and 1 on the empty diagram.  ``DubVal.num``
+and ``DubVal.k`` derive the printed form num / (s - 1/s)^k over (s, a) on
+demand, k being the order of the pole at z = 0, and ``DubVal.ratfunc``
+builds it.  The two parts share no factor: s - 1/s vanishes only at s = 1
+and s = -1, and there num is the value's z^(-k) row, which is not zero.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _s_minus_pow(k):
 
 
 class DubVal:
-    """A value of D or F: a Laurent polynomial in (a, z), z standing for s - 1/s.
+    """A value of D: a Laurent polynomial in (a, z), z standing for s - 1/s.
 
     Equality is structural.  ``k`` and ``num`` give the printed form
     num / (s - 1/s)^k over (s, a); see the module docstring.
@@ -117,19 +117,15 @@ class DubVal:
         return f"DubVal({self.poly!r})"
 
 
-@functools.cache
-def _alpha_power(n):
-    return LaurentPoly(_AZ, {(n, 0): 1})
-
-
 class KauffmanEngine(SkeinEngine):
     """The skein engine for F = D/delta; see ``SkeinEngine`` for the constructor."""
 
     # bound here, not inherited: perfbench/spans.py patches each engine's own __init__
     __init__ = SkeinEngine.__init__
 
-    _unit_pow = staticmethod(lambda n: DubVal.loops(n))     # by attribute: perfbench wraps it
-    _curl_pow = staticmethod(_alpha_power)                  # a^chirality per stripped curl
+    # each split part past the first and each loop is worth delta; curls of chirality n, a^n
+    _unit_pow = staticmethod(functools.cache(lambda n: _DELTA ** n))
+    _curl_pow = staticmethod(functools.cache(lambda n: LaurentPoly(_AZ, {(n, 0): 1})))
     # D(X) = D(switch X) + z D(join 0-1) - z D(join 0-3), and so is F
     _relation = {None: ((None, LaurentPoly.const(1, _AZ)), (dg._SMOOTHINGS["01"], _Z),
                         (dg._SMOOTHINGS["03"], -_Z))}
@@ -139,8 +135,8 @@ class KauffmanEngine(SkeinEngine):
         if d.signs is not None:
             d = dg.LinkDiagram._trusted(d.crossings, None, d.free_loops)
         if d.num_components():
-            return self._run(d) * _DELTA
-        return self._run(_UNKNOT)           # D(empty) = 1 = F(unknot), also at one node
+            return DubVal(self._run(d) * _DELTA)
+        return DubVal(self._run(_UNKNOT))   # D(empty) = 1 = F(unknot), also at one node
 
 
 _default_engine = KauffmanEngine()

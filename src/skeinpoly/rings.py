@@ -1065,6 +1065,12 @@ def limit_order2_at_v1(p: RatFunc) -> RatFunc:
 DELTA_DEFAULT_ORDER = 3
 
 
+def _check_order(order):
+    """Raise ValidationError unless order is an int >= 1 (bools are not ints here)."""
+    if type(order) is not int or order < 1:
+        raise ValidationError(f"series order must be an int >= 1, not {order!r}")
+
+
 class DeltaSeries:
     """A truncated power series in d with LaurentPoly-in-z coefficients.
 
@@ -1075,8 +1081,7 @@ class DeltaSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=None):
-        if order < 1:
-            raise ValidationError("series order must be >= 1")
+        _check_order(order)
         self.order = order
         clean = {}
         for k, c in (coeffs or {}).items():
@@ -1198,8 +1203,7 @@ def series_exp_v(p: RatFunc, order=DELTA_DEFAULT_ORDER) -> DeltaSeries:
     v = 1, and refuses denominators whose value at v = 1 is not a unit
     monomial in z (the coefficients would leave the Laurent ring).
     """
-    if order < 1:
-        raise ValidationError("series order must be >= 1")
+    _check_order(order)
     factors = {}                # e -> [(-e/2)^k / k! for k < order]
 
     def coefficients(poly):
@@ -1247,6 +1251,7 @@ def psi_series(p: LaurentPoly, order=2) -> DeltaSeries:
     computed modulo d^order (default d^2): the d^k coefficient of
     sp^i sm^j is (z^2/2)^k (z^2+3)^(i+j-k) sum_m (-1)^m C(i, m) C(j, k-m).
     """
+    _check_order(order)
     base = LaurentPoly(("z",), {(2,): 1, (0,): 3})
     coeffs = [LaurentPoly(("z",), {}) for _ in range(order)]
     for (i, j), c in validate_sigma_poly(p).terms.items():

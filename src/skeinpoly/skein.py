@@ -53,7 +53,7 @@ frames, and the recursion limit stays as it is.
 from __future__ import annotations
 
 from . import diagrams as dg
-from .errors import ResourceLimit
+from .errors import ResourceLimit, ValidationError
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -61,17 +61,19 @@ DEFAULT_BUDGET = 10 ** 8
 class SkeinEngine:
     """A memoized evaluator; reusable across calls and shareable.
 
-    ``memo=False`` disables caching (for equivalence tests), ``budget``
-    bounds the number of recursion nodes over the engine's lifetime (and
-    a diagram with more free loops than the budget raises at once), and
-    ``rng`` (a random.Random) randomizes the walk order at every node,
-    which must not change any value.  ``nodes`` counts the nodes of the
-    last public call, ``lifetime_nodes`` those of every call so far.
-    Concurrent calls on one engine return exact values, but these counts
-    and the budget are not exact under them.
+    ``memo=False`` disables caching (for equivalence tests), ``budget``, an
+    int >= 0 (else ValidationError), bounds the number of recursion nodes
+    over the engine's lifetime (and a diagram with more free loops than
+    the budget raises at once), and ``rng`` (a random.Random) randomizes
+    the walk order at every node, which must not change any value.
+    ``nodes`` counts the nodes of the last public call, ``lifetime_nodes``
+    those of every call so far.  Concurrent calls on one engine return
+    exact values, but these counts and the budget are not exact under them.
     """
 
     def __init__(self, memo=True, budget=DEFAULT_BUDGET, rng=None):
+        if type(budget) is not int or budget < 0:
+            raise ValidationError(f"node budget must be an int >= 0, not {budget!r}")
         self.memo_enabled = memo
         self.budget = budget
         self.rng = rng

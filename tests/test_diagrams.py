@@ -132,6 +132,23 @@ _DIAGRAM_JSON = "skeinpoly-diagram/1"
                  "not an integer", id="cable-twist-integral-float"),
     pytest.param(lambda: cable2(closure([1, 1, 1]), {0: CablePattern.twisted(0.4)}),
                  ValidationError, "not an integer", id="cable-twist-below-one"),
+    # so must a kink count and a component index
+    pytest.param(lambda: add_kinks(closure([1, 1, 1]), 0, 1.5), ValidationError,
+                 "kink count 1.5 is not an integer", id="kinks-float"),
+    pytest.param(lambda: add_kinks(closure([1, 1, 1]), 0, True), ValidationError,
+                 "kink count True is not an integer", id="kinks-bool"),
+    pytest.param(lambda: add_kinks(closure([1, 1, 1]), 0, 2.0), ValidationError,
+                 "not an integer", id="kinks-integral-float"),
+    pytest.param(lambda: add_kinks(closure([1, 1, 1]), True, 1), UnknownComponent,
+                 "component True of 1", id="kinks-bool-component"),
+    pytest.param(lambda: connected_sum(closure([1, 1, 1]), 0.0, closure([1, 1, 1]), 0),
+                 UnknownComponent, "component 0.0 of 1", id="connected-sum-float-component"),
+    pytest.param(lambda: connected_sum(closure([1, 1, 1]), 0, LinkDiagram((), (), 1), "0"),
+                 UnknownComponent, "component '0' of 1", id="connected-sum-str-component"),
+    pytest.param(lambda: delete_components(closure([1, 1]), [0.0]), UnknownComponent,
+                 "component 0.0 of 2", id="delete-float-component"),
+    pytest.param(lambda: delete_components(closure([1, 1]), [False]), UnknownComponent,
+                 "component False of 2", id="delete-bool-component"),
     pytest.param(lambda: LinkDiagram([5]), ValidationError, "must be sequences",
                  id="crossing-not-a-sequence"),
     pytest.param(lambda: LinkDiagram([(0, 0, 1, 1)], 1, 0), ValidationError,

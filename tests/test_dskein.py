@@ -180,9 +180,7 @@ def test_family_nesting_limit():
 
 def test_trees_deeper_than_the_stack():
     # built through the API, past parse_family's depth limit; qtilde,
-    # bounded_qtilde and family_to_text walk them without recursion.  The
-    # trees themselves are never compared or printed: the dataclass
-    # __eq__, __hash__ and __repr__ recurse.
+    # bounded_qtilde and family_to_text walk them without recursion
     depth = 5000
     one = LaurentPoly.const(1, ("sp", "sm"))
     right, left, framed = Torus2(1), Torus2(1), Torus2(1)
@@ -197,6 +195,27 @@ def test_trees_deeper_than_the_stack():
     assert family_to_text(framed) == "frame(" * depth + "torus2(1)" + ",1)" * depth
     mixed = ConnSum(FramingShift(Torus2(-3), 2), ConnSum(Torus2(4), framed))
     assert qtilde(mixed) == torus_value(-3) + torus_value(4) + (depth + 3) * one
+
+
+def test_deep_trees_compare_hash_and_print():
+    # ==, hash and repr walk the tree without recursion, with the
+    # dataclass semantics: fields compare by ==, node types exactly
+    def chain(leaf, depth=5000):
+        for _ in range(depth):
+            leaf = FramingShift(leaf, 1)
+        return leaf
+
+    a, b = chain(Torus2(1)), chain(Torus2(True))
+    assert a == b and hash(a) == hash(b)
+    assert a != chain(Torus2(2)) and a != chain(Torus2(1), 4999)
+    assert ConnSum(a, Torus2(1)) == ConnSum(b, Torus2(1.0))
+    assert ConnSum(a, Torus2(1)) != ConnSum(Torus2(1), a)
+    assert repr(a) == "FramingShift(child=" * 5000 + "Torus2(m=1)" + ", k=1)" * 5000
+    assert repr(chain(Torus2("x"), 2)) == \
+        "FramingShift(child=FramingShift(child=Torus2(m='x'), k=1), k=1)"
+    assert repr(ConnSum(Torus2, None)) == f"ConnSum(left={Torus2!r}, right=None)"
+    assert Torus2(1) != ConnSum(Torus2(1), Torus2(1)) and Torus2(1) != 1
+    assert len({a, b, chain(Torus2(2))}) == 2
 
 
 def test_deep_tree_with_a_bad_field_is_rejected():

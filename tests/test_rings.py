@@ -545,6 +545,17 @@ _S, _A, _V, _Z = (LaurentPoly.var(name) for name in "savz")
                  id="exp-series-non-unit-denominator"),
     pytest.param(lambda: DeltaSeries(0), ValidationError, "order must be",
                  id="series-order-zero"),
+    # an order must be an int: not truncated, not a bool
+    pytest.param(lambda: DeltaSeries(2.5, {0: 1}), ValidationError,
+                 "order must be an int >= 1, not 2.5", id="series-order-float"),
+    pytest.param(lambda: DeltaSeries(True, {0: 1}), ValidationError,
+                 "order must be an int >= 1, not True", id="series-order-bool"),
+    pytest.param(lambda: series_exp_v(RatFunc(_V), 2.0), ValidationError,
+                 "order must be an int >= 1, not 2.0", id="exp-series-order-float"),
+    pytest.param(lambda: psi_series(sp_sm({(1, 0): 1}), 2.0), ValidationError,
+                 "order must be an int >= 1, not 2.0", id="psi-series-order-float"),
+    pytest.param(lambda: psi_series(sp_sm({(1, 0): 1}), 0), ValidationError,
+                 "order must be", id="psi-series-order-zero"),
     pytest.param(lambda: DeltaSeries(2, {-1: 1}), ValidationError, "negative series exponent",
                  id="series-negative-exponent"),
     pytest.param(lambda: specialize(RatFunc(_S, _A), {"s": 1, "a": 0}), DivisionByZero,

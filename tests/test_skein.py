@@ -69,6 +69,14 @@ def test_budget_bounds_the_engine_lifetime():
     assert exc.value.nodes == 495
 
 
+@pytest.mark.parametrize("engine_class", [HomflyEngine, KauffmanEngine])
+@pytest.mark.parametrize("budget", [1e6, None, True, False, -1, "100"],
+                         ids=["float", "none", "true", "false", "negative", "str"])
+def test_documented_budget_rejections(engine_class, budget):
+    with pytest.raises(ValidationError, match="node budget must be an int >= 0"):
+        engine_class(budget=budget)
+
+
 def test_engines_refuse_a_non_planar_pd_code():
     # well-formed and consistently oriented, but 2 faces where Euler's
     # formula needs 4: the parsers refuse it, and so does every engine root
